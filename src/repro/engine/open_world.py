@@ -103,8 +103,8 @@ class OpenGenerator(Protocol):
 
 
 # Per-generator locks serializing generate() for generators that are not
-# marked thread_safe_generate (e.g. MSWG toggles its network between
-# train/eval around the forward pass).  Keyed weakly so fitted generators
+# marked thread_safe_generate (e.g. MSWG's compiled plan computes in
+# buffers it reuses across calls).  Keyed weakly so fitted generators
 # evicted from the engine cache do not pin a lock forever.
 _GENERATE_LOCKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _GENERATE_LOCKS_GUARD = threading.Lock()

@@ -38,6 +38,7 @@ from repro.generative.losses.sliced import SlicedMarginalLoss, random_unit_proje
 from repro.generative.losses.wasserstein import QuantileMatchingLoss
 from repro.generative.nn.activations import BlockSoftmax, ReLU
 from repro.generative.nn.batchnorm import BatchNorm1d
+from repro.generative.nn.inference import InferencePlan
 from repro.generative.nn.linear import Linear
 from repro.generative.nn.sequential import Sequential
 from repro.generative.streams import repetition_streams, with_repetition_ids
@@ -92,14 +93,20 @@ class MSWG:
         self.encoder: TableEncoder | None = None
         self.network: Sequential | None = None
         self.history: TrainingHistory | None = None
-        self._softmax: BlockSoftmax | None = None
         self._latent_dim: int | None = None
         self._rng = np.random.default_rng(self.config.seed)
-        # Generation scratch (latents, forward output) keyed by name and
-        # reused across calls of the same shape — the adaptive streaming
-        # path generates many equal-sized repetition chunks back to back,
-        # and none of the decoded output aliases these buffers.
-        self._scratch_buffers: dict[str, np.ndarray] = {}
+
+    #: The network compiled for generation, built on first use.  A class
+    #: default, so models pickled before the plan existed load without it.
+    _plan: InferencePlan | None = None
+
+    def __getstate__(self) -> dict:
+        """Persist parameters, not generation state: the plan and its
+        buffers, or the ``(R·n, width)`` scratch older pickles carry."""
+        state = self.__dict__.copy()
+        state.pop("_plan", None)
+        state.pop("_scratch_buffers", None)
+        return state
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -138,6 +145,7 @@ class MSWG:
         width = self.encoder.width
         self._latent_dim = config.latent_dim if config.latent_dim is not None else width
         self.network = self._build_network(self._latent_dim, width)
+        self._plan = None
 
         steps = config.steps_per_epoch
         if steps is None:
@@ -253,62 +261,47 @@ class MSWG:
             in_features = config.hidden_units
         layers.append(Linear(in_features, width, self._rng, init="xavier", name="out"))
         softmax_blocks = self.encoder.softmax_blocks() if self.encoder else []
-        self._softmax = BlockSoftmax(softmax_blocks) if softmax_blocks else None
-        if self._softmax is not None:
-            layers.append(self._softmax)
+        if softmax_blocks:
+            layers.append(BlockSoftmax(softmax_blocks))
         return Sequential(*layers)
 
     # ------------------------------------------------------------------ #
     # Generation
     # ------------------------------------------------------------------ #
 
-    def generate(
-        self,
-        n: int,
-        rng: np.random.Generator | None = None,
-        harden_categoricals: bool = True,
-    ) -> Relation:
+    def generate(self, n: int, rng: np.random.Generator | None = None) -> Relation:
         """Sample ``n`` synthetic population tuples.
 
-        Categorical one-hot blocks are hardened to exact argmax one-hots
-        (the paper only forces binary output at generation time).
+        Categorical one-hot blocks decode to exact category values by
+        argmax (the paper only forces binary output at generation time).
         """
-        if self.network is None or self.encoder is None:
-            raise GenerativeModelError("generate() before fit()")
-        if n <= 0:
-            raise GenerativeModelError(f"need a positive sample size, got {n}")
+        self._check_generate(n)
         rng = rng if rng is not None else self._rng
-        latents = rng.normal(size=(n, self._latent_dim))
-        return self._decode_latents(latents, harden_categoricals)
+        return self._decode_latents(rng.normal(size=(n, self._latent_dim)))
 
     def generate_batch(
         self,
         n: int,
         repetitions: int,
         rng: np.random.Generator | None = None,
-        harden_categoricals: bool = True,
     ) -> Relation:
         """``repetitions`` independent samples of ``n`` rows in one pass.
 
         Each repetition's latents come from its own spawned RNG stream
         (the OPEN per-repetition stream contract); the stacked
-        ``(R*n, latent)`` matrix then runs through the network in a
-        *single* forward pass.  Every layer — Linear, eval-mode BatchNorm
-        (running statistics), ReLU, block softmax — is row-wise, so the
-        output rows are bit-identical to ``repetitions`` serial
+        ``(R*n, latent)`` matrix then runs through the compiled plan.  The
+        plan is row-wise and always multiplies the same chunk shape, so
+        the output rows are bit-identical to ``repetitions`` serial
         ``generate`` calls; the result carries the dense ``__rep__``
         column batched OPEN execution keys on.
         """
         streams = repetition_streams(
             rng if rng is not None else self._rng, repetitions
         )
-        return self.generate_batch_streams(n, streams, harden_categoricals)
+        return self.generate_batch_streams(n, streams)
 
     def generate_batch_streams(
-        self,
-        n: int,
-        streams: list[np.random.Generator],
-        harden_categoricals: bool = True,
+        self, n: int, streams: list[np.random.Generator]
     ) -> Relation:
         """One chunk of repetitions, each drawn from its given stream.
 
@@ -318,64 +311,40 @@ class MSWG:
         chunking never changes per-repetition randomness.  The local
         ``__rep__`` ids are 0-based within the chunk.
         """
-        if self.network is None or self.encoder is None:
-            raise GenerativeModelError("generate() before fit()")
-        if n <= 0:
-            raise GenerativeModelError(f"need a positive sample size, got {n}")
+        self._check_generate(n)
         if not streams:
             raise GenerativeModelError("need at least one repetition stream")
-        latents = self._scratch("latents", (len(streams) * n, self._latent_dim))
+        latents = np.empty((len(streams) * n, self._latent_dim))
         for index, stream in enumerate(streams):
             latents[index * n : (index + 1) * n] = stream.normal(
                 size=(n, self._latent_dim)
             )
-        return with_repetition_ids(
-            self._decode_latents(latents, harden_categoricals), len(streams)
-        )
+        return with_repetition_ids(self._decode_latents(latents), len(streams))
 
-    def _scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A reusable generation buffer (reallocated on shape change)."""
-        buffer = self._scratch_buffers.get(name)
-        if buffer is None or buffer.shape != shape:
-            buffer = np.empty(shape, dtype=np.float64)
-            self._scratch_buffers[name] = buffer
-        return buffer
+    def _check_generate(self, n: int) -> None:
+        if self.network is None or self.encoder is None:
+            raise GenerativeModelError("generate() before fit()")
+        if n <= 0:
+            raise GenerativeModelError(f"need a positive sample size, got {n}")
 
-    #: Rows per eval-mode forward chunk.  A stacked R*n batch pushed
-    #: through the network in one piece allocates (rows, units) temporaries
-    #: per layer that fall out of cache and run several times slower than
-    #: the same FLOPs in chunks; every layer is row-wise, so chunking does
-    #: not change a single output bit.
-    _FORWARD_CHUNK_ROWS = 8192
+    def _predecode(self, latents: np.ndarray) -> np.ndarray:
+        """Latents → the ``(rows, width)`` matrix the encoder decodes.
 
-    def _decode_latents(
-        self, latents: np.ndarray, harden_categoricals: bool
-    ) -> Relation:
-        """Latents → tuples: chunked eval-mode forward, decode.
-
-        Forward chunks write straight into a reusable ``(rows, width)``
-        output buffer (no per-chunk pieces list, no concatenate).  The
-        explicit hardening pass is skipped: the decoder picks categorical
-        values by argmax over each softmax block, and the argmax of a
-        hardened one-hot is the argmax of the soft block it was built
-        from, so decoded tuples are bit-identical either way — the paper's
-        "force the output to be binary for data generation" is realised by
-        the argmax decode itself.  ``inverse_transform`` derives fresh
-        arrays (clips, argmax picks), so the returned relation never
-        aliases the scratch buffer.
+        Runs the compiled plan (BatchNorm folded, softmax dropped — see
+        :mod:`repro.generative.nn.inference`), built on first use after a
+        fit or an unpickle.  The training layers are not touched: no
+        activation caches, no train/eval toggling.
         """
-        assert self.network is not None and self.encoder is not None
-        chunk = self._FORWARD_CHUNK_ROWS
-        output = self._scratch("forward", (latents.shape[0], self.encoder.width))
-        self.network.eval()
-        try:
-            for start in range(0, latents.shape[0], chunk):
-                output[start : start + chunk] = self.network.forward(
-                    latents[start : start + chunk]
-                )
-        finally:
-            self.network.train()
-        return self.encoder.inverse_transform(output)
+        assert self.network is not None
+        if self._plan is None:
+            self._plan = InferencePlan(self.network)
+        return self._plan.run(latents)
+
+    def _decode_latents(self, latents: np.ndarray) -> Relation:
+        """Latents → tuples.  ``inverse_transform`` derives fresh arrays
+        (clips, argmax picks), so the relation never aliases plan buffers."""
+        assert self.encoder is not None
+        return self.encoder.inverse_transform(self._predecode(latents))
 
     def generate_many(
         self,

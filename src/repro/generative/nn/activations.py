@@ -68,13 +68,3 @@ class BlockSoftmax(Module):
             inner = (g * s).sum(axis=1, keepdims=True)
             grad_input[:, start:stop] = s * (g - inner)
         return grad_input
-
-    def harden(self, x: np.ndarray) -> np.ndarray:
-        """Force each softmax block to an exact one-hot (for generation)."""
-        out = x.copy()
-        for start, stop in self.blocks:
-            block = x[:, start:stop]
-            hard = np.zeros_like(block)
-            hard[np.arange(block.shape[0]), block.argmax(axis=1)] = 1.0
-            out[:, start:stop] = hard
-        return out

@@ -71,6 +71,15 @@ class Module:
         for parameter in self.parameters():
             parameter.zero_grad()
 
+    def __getstate__(self) -> dict:
+        """Pickle parameters and statistics, not an activation cache (models
+        pickled when generation still ran these layers carry large ones)."""
+        state = self.__dict__.copy()
+        for name in ("_cache", "_mask"):
+            if name in state:
+                state[name] = None
+        return state
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 

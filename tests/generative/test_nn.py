@@ -15,6 +15,7 @@ from repro.generative.nn import (
     ReLU,
     Sequential,
 )
+from repro.generative.nn.inference import InferencePlan
 from repro.generative.optim import Adam, ReduceLROnPlateau
 
 
@@ -128,14 +129,6 @@ class TestBlockSoftmax:
         numeric = numeric_grad_input(layer, x, upstream)
         assert np.allclose(analytic, numeric, atol=1e-6)
 
-    def test_harden(self, rng):
-        layer = BlockSoftmax([(0, 3)])
-        soft = layer.forward(rng.normal(size=(4, 4)))
-        hard = layer.harden(soft)
-        assert set(np.unique(hard[:, :3])) <= {0.0, 1.0}
-        assert np.allclose(hard[:, :3].sum(axis=1), 1.0)
-        assert np.allclose(hard[:, 3], soft[:, 3])
-
     def test_overlapping_blocks_rejected(self):
         with pytest.raises(GenerativeModelError, match="overlap"):
             BlockSoftmax([(0, 3), (2, 5)])
@@ -211,6 +204,42 @@ class TestSequential:
     def test_parameters_enumerated(self, rng):
         net = Sequential(Linear(2, 3, rng), BatchNorm1d(3), ReLU(), Linear(3, 1, rng))
         assert len(list(net.parameters())) == 6  # 2x(W,b) + (gamma,beta)
+
+
+class TestInferencePlan:
+    def test_matches_eval_forward_without_batchnorm_or_softmax(self, rng):
+        """Unequal hidden widths: no ping-pong buffer can be shared."""
+        net = Sequential(
+            Linear(3, 8, rng), ReLU(), Linear(8, 5, rng), ReLU(),
+            Linear(5, 8, rng), ReLU(), Linear(8, 2, rng, init="xavier"),
+        )
+        x = rng.normal(size=(InferencePlan.CHUNK_ROWS + 3, 3))
+        net.eval()
+        np.testing.assert_allclose(InferencePlan(net).run(x), net.forward(x), rtol=1e-12)
+
+    def test_folds_trained_batchnorm_statistics(self, rng):
+        net = Sequential(Linear(3, 6, rng), BatchNorm1d(6), ReLU(), Linear(6, 2, rng))
+        for _ in range(10):  # move the running statistics off (0, 1)
+            net.forward(rng.normal(loc=1.5, scale=2.0, size=(64, 3)))
+        net.layers[1].gamma.value[:] = rng.normal(size=6)
+        net.layers[1].beta.value[:] = rng.normal(size=6)
+        x = rng.normal(size=(7, 3))
+        net.eval()
+        np.testing.assert_allclose(
+            InferencePlan(net).run(x), net.forward(x), rtol=1e-12, atol=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            lambda rng: [ReLU(), Linear(2, 2, rng)],
+            lambda rng: [Linear(2, 2, rng), ReLU(), BatchNorm1d(2)],
+            lambda rng: [Linear(2, 2, rng), BlockSoftmax([(0, 2)]), Linear(2, 2, rng)],
+        ],
+    )
+    def test_unsupported_layer_order_rejected(self, rng, layers):
+        with pytest.raises(GenerativeModelError, match="cannot compile"):
+            InferencePlan(Sequential(*layers(rng)))
 
 
 class TestAdam:

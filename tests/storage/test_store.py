@@ -217,3 +217,31 @@ def test_restored_sample_weights_are_adopted_without_copy(tmp_path):
     db2.execute("UPDATE SAMPLE S SET WEIGHT = 2.0")
     np.testing.assert_array_equal(sample.weights, np.full(len(ROWS), 2.0))
     db2.close()
+
+
+def test_persisted_generator_is_parameters_not_generation_buffers(tmp_path):
+    """An OPEN answer leaves ~R·n rows of generation scratch on the model;
+    the checkpoint must carry the parameters only."""
+    rng = np.random.default_rng(0)
+    rows = [
+        (str(country), int(age))
+        for country, age in zip(
+            rng.choice(["UK", "FR", "DE"], size=2000, p=[0.5, 0.3, 0.2]),
+            rng.integers(18, 90, size=2000),
+        )
+    ]
+    query = "SELECT OPEN country, COUNT(*) AS n, AVG(age) AS a FROM People GROUP BY country"
+    db = MosaicDB(seed=3, data_dir=str(tmp_path))
+    db.execute_script(SETUP)
+    db.ingest_rows("S", rows)
+    before = rows_of(db.execute(query))
+    db.close()
+
+    (models,) = tmp_path.glob("ck-*/models.pkl")
+    assert models.stat().st_size < 1_000_000
+
+    db2 = MosaicDB(seed=3, data_dir=str(tmp_path))
+    result = db2.execute(query)
+    assert result.has_note("generator cache hit")
+    assert rows_of(result) == before
+    db2.close()
