@@ -1139,6 +1139,7 @@ class Engine:
                     categorical_columns=open_config.categorical_columns,
                 )
                 span["generator"] = getattr(generator, "name", type(generator).__name__)
+                span.update(getattr(generator, "fit_report", None) or {})
             if key is not None:
                 self._open_generators.put(key, stamp, generator)
         else:

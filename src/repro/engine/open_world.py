@@ -89,6 +89,9 @@ class OpenGenerator(Protocol):
     :mod:`repro.generative.streams`).  The adaptive streaming OPEN path
     requires it; TEXT columns must stay born-encoded against the fitted
     (stable) vocabulary so group cells mean the same keys in every chunk.
+
+    A generator may expose ``fit_report`` — a flat dict of what its last
+    ``fit`` did; the engine copies it onto the ``open.fit`` trace span.
     """
 
     def fit(
@@ -141,6 +144,11 @@ class MswgGenerator:
             categorical_columns=categorical_columns,
         )
         return self
+
+    @property
+    def fit_report(self) -> dict | None:
+        """What the fit did, for the ``open.fit`` span (see ``MSWG``)."""
+        return self.model.fit_report
 
     def generate(self, n, rng=None):
         return self.model.generate(n, rng=rng)

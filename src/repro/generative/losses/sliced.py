@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GenerativeModelError
+from repro.generative.losses.order import scatter_columns, sort_columns
 from repro.generative.losses.wasserstein import WeightedQuantileFunction
 
 
@@ -83,8 +84,7 @@ class SlicedMarginalLoss:
                 f"{self.projections.shape[1]}), got {x.shape}"
             )
         z = x @ self.projections.T  # (n, p)
-        order = np.argsort(z, axis=0, kind="stable")
-        z_sorted = np.take_along_axis(z, order, axis=0)
+        z_sorted, flat = sort_columns(z)
         diff = z_sorted - self.target_quantiles
 
         n, p = diff.shape
@@ -95,6 +95,4 @@ class SlicedMarginalLoss:
             loss = float(np.mean(np.abs(diff)))
             grad_sorted = np.sign(diff) / (n * p)
 
-        grad_z = np.empty_like(grad_sorted)
-        np.put_along_axis(grad_z, order, grad_sorted, axis=0)
-        return loss, grad_z @ self.projections
+        return loss, scatter_columns(grad_sorted, flat) @ self.projections

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GenerativeModelError
+from repro.generative.losses.order import scatter_columns, sort_columns
 
 
 class WeightedQuantileFunction:
@@ -136,14 +137,12 @@ class QuantileMatchingLoss:
             raise GenerativeModelError(
                 f"expected batch of shape ({self.batch_size},), got {x.shape}"
             )
-        order = np.argsort(x, kind="stable")
-        diff = x[order] - self.target_quantiles
+        x_sorted, flat = sort_columns(x)
+        diff = x_sorted - self.target_quantiles
         if self.power == 2:
             loss = float(np.mean(diff * diff))
             grad_sorted = 2.0 * diff / self.batch_size
         else:
             loss = float(np.mean(np.abs(diff)))
             grad_sorted = np.sign(diff) / self.batch_size
-        grad = np.empty_like(x)
-        grad[order] = grad_sorted
-        return loss, grad
+        return loss, scatter_columns(grad_sorted, flat)

@@ -100,11 +100,18 @@ class MSWG:
     #: default, so models pickled before the plan existed load without it.
     _plan: InferencePlan | None = None
 
+    #: What the last ``fit`` in this process did — ``steps``, ``epochs``,
+    #: ``unique_sample_rows``, ``nearest`` (the coverage index: ``"gemm"``,
+    #: ``"kdtree"`` or ``"none"``) — for the engine's ``open.fit`` span.
+    #: Not persisted: a restored model was not fitted here.
+    fit_report: dict | None = None
+
     def __getstate__(self) -> dict:
         """Persist parameters, not generation state: the plan and its
         buffers, or the ``(R·n, width)`` scratch older pickles carry."""
         state = self.__dict__.copy()
         state.pop("_plan", None)
+        state.pop("fit_report", None)
         state.pop("_scratch_buffers", None)
         return state
 
@@ -140,7 +147,7 @@ class MSWG:
         all_marginals = list(marginals) + self._fallback_marginals(
             sample, marginals, sample_weights
         )
-        terms = self._build_terms(all_marginals, encoded_sample)
+        terms, coverage = self._build_terms(all_marginals, encoded_sample)
 
         width = self.encoder.width
         self._latent_dim = config.latent_dim if config.latent_dim is not None else width
@@ -163,6 +170,12 @@ class MSWG:
             lr_factor=config.lr_factor,
             lr_patience=config.lr_patience,
         )
+        self.fit_report = {
+            "steps": config.epochs * steps,
+            "epochs": config.epochs,
+            "unique_sample_rows": coverage.unique_sample_rows,
+            "nearest": coverage.nearest,
+        }
         return self.history
 
     def _fallback_marginals(
@@ -187,7 +200,7 @@ class MSWG:
 
     def _build_terms(
         self, marginals: list[Marginal], encoded_sample: np.ndarray
-    ) -> list[LossTerm]:
+    ) -> tuple[list[LossTerm], CoveragePenalty]:
         assert self.encoder is not None
         config = self.config
         terms: list[LossTerm] = []
@@ -231,7 +244,7 @@ class MSWG:
                 compute=coverage.loss_and_grad,
             )
         )
-        return terms
+        return terms, coverage
 
     def _encode_marginal(self, marginal: Marginal) -> tuple[np.ndarray, np.ndarray]:
         """Marginal cells as points in the encoded block coordinates."""

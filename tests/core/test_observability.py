@@ -14,7 +14,8 @@ import pytest
 
 from repro import MosaicDB
 from repro.catalog.metadata import Marginal
-from repro.engine.open_world import IPFSynthesizer, OpenQueryConfig
+from repro.engine.open_world import IPFSynthesizer, MswgGenerator, OpenQueryConfig
+from repro.generative.mswg import MswgConfig
 from repro.observability import (
     MetricsExporter,
     MetricsRegistry,
@@ -37,11 +38,13 @@ def build_closed_db(seed: int = 3) -> MosaicDB:
     return db
 
 
-def build_population_db(seed: int = 0, **open_kwargs) -> MosaicDB:
+def build_population_db(
+    seed: int = 0, generator_factory=IPFSynthesizer, **open_kwargs
+) -> MosaicDB:
     db = MosaicDB(
         seed=seed,
         open_config=OpenQueryConfig(
-            generator_factory=IPFSynthesizer,
+            generator_factory=generator_factory,
             repetitions=4,
             rows_per_generation=200,
             max_workers=1,
@@ -278,6 +281,27 @@ class TestExplainAnalyze:
             span for span in result.trace["spans"] if span["name"] == "open.fit"
         ]
         assert len(fit_spans) == 1
+
+    def test_open_explain_says_what_the_mswg_fit_did(self):
+        db = build_population_db(
+            generator_factory=lambda: MswgGenerator(
+                MswgConfig(
+                    hidden_layers=1, hidden_units=8, num_projections=4,
+                    batch_size=50, epochs=3,
+                )
+            )
+        )
+        sql = "EXPLAIN ANALYZE SELECT OPEN country, COUNT(*) AS n FROM P GROUP BY country"
+        (fit_span,) = [
+            span for span in db.execute(sql).trace["spans"] if span["name"] == "open.fit"
+        ]
+        # 100 sample rows at batch 50: two steps an epoch; two distinct rows
+        # in a four-wide one-hot space (2 <= 2**4): the GEMM.
+        assert fit_span["generator"] == "mswg"
+        assert (fit_span["steps"], fit_span["epochs"]) == (6, 3)
+        assert (fit_span["unique_sample_rows"], fit_span["nearest"]) == (2, "gemm")
+        # The second statement is answered from the cached model: no fit.
+        assert all(span["name"] != "open.fit" for span in db.execute(sql).trace["spans"])
 
     def test_adaptive_open_explain_logs_chunk_half_widths(self):
         db = build_population_db(
