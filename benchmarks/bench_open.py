@@ -96,7 +96,6 @@ def make_flights_db(population, **open_kwargs) -> MosaicDB:
         open_config=OpenQueryConfig(
             generator_factory=BayesNetGenerator,
             rows_per_generation=GENERATION_ROWS,
-            max_workers=1,
             **open_kwargs,
         ),
     )
@@ -214,7 +213,6 @@ def _adaptive_section(population) -> dict:
     fixed_r_open_ms = _time_best_of(fixed_cold, 3)
     adaptive_open_ms = _time_best_of(adaptive_cold, 3)
     adaptive_result = last_adaptive["result"]
-    assert adaptive_result.has_note("adaptive streaming")
     assert adaptive_result.has_note("stopped early"), (
         "bench workload must meet the tolerance before the repetition cap"
     )

@@ -88,7 +88,6 @@ def build_db(processes: int, flights: Relation) -> MosaicDB:
             generator_factory=IPFSynthesizer,
             repetitions=OPEN_REPETITIONS,
             rows_per_generation=OPEN_ROWS_PER_GENERATION,
-            max_workers=1,
         ),
         execution=ExecutionConfig(processes=processes, morsel_rows=MORSEL_ROWS),
     )
@@ -110,7 +109,6 @@ def build_open_db(processes: int, migrants: Relation) -> MosaicDB:
             generator_factory=IPFSynthesizer,
             repetitions=OPEN_REPETITIONS,
             rows_per_generation=OPEN_ROWS_PER_GENERATION,
-            max_workers=1,
         ),
         execution=ExecutionConfig(processes=processes, morsel_rows=MORSEL_ROWS),
     )

@@ -134,7 +134,7 @@ class MosaicDB:
             ),
         )
         # Inherited OPEN config is *copied*: set_open_generator (or any
-        # repetitions/max_workers tweak) on one session must not leak into
+        # repetitions/tolerance tweak) on one session must not leak into
         # the root or sibling sessions.
         config.open_config = (
             dataclasses.replace(root.open_config)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -54,7 +53,7 @@ from repro.engine.compiler import (
     partial_aggregate_form,
 )
 from repro.engine.executor import execute_select
-from repro.engine.open_world import evaluate_open, uses_batched_execution
+from repro.engine.open_world import evaluate_open
 from repro.engine.plan import LogicalPlan
 from repro.engine.planner import PlannedSource, choose_sample
 from repro.engine.semi_open import evaluate_semi_open, reweighted_sample
@@ -137,7 +136,7 @@ class Engine:
         self.metrics = MetricsRegistry()
         self._open_adaptive_runs = self.metrics.counter(
             "mosaic_open_adaptive_runs_total",
-            "OPEN queries that took the adaptive streaming path",
+            "OPEN queries run with a stop tolerance (tolerance > 0)",
         )
         self._open_adaptive_early_stops = self.metrics.counter(
             "mosaic_open_adaptive_early_stops_total",
@@ -161,12 +160,6 @@ class Engine:
             "DDL counter (bumps on every catalog mutation)",
             fn=lambda: self.catalog.version,
         )
-        # The OPEN-repetition pool: one engine-owned executor shared by
-        # every concurrent OPEN query (created lazily, drained by
-        # shutdown()).  Sharing bounds the process to one set of worker
-        # threads under concurrent OPEN load instead of a pool per query.
-        self._open_pool: ThreadPoolExecutor | None = None
-        self._open_pool_mutex = threading.Lock()
         # Morsel-driven multi-process execution (ARCHITECTURE.md §7): the
         # context owns the worker pool and the shared-memory segment store.
         # With processes=0 (the default unless MOSAIC_WORKERS is set) no
@@ -204,23 +197,17 @@ class Engine:
         return self._execution
 
     def shutdown(self) -> None:
-        """Shut the engine down: drain the OPEN-repetition pool, then fence.
+        """Shut the engine down: fence, stop the workers, flush.
 
         Idempotent.  In-flight statements complete: the fence is raised
         under the engine's *write* lock, so every statement already past
-        its entry check finishes (and submits all its repetition rounds)
-        before the flag flips, and the pool shutdown then waits for those
-        rounds.  Statements issued afterwards raise
-        :class:`SessionClosedError`.  The catalog stays readable for
-        post-mortem inspection — shutdown is about deterministic thread
-        teardown, not data destruction.
+        its entry check finishes before the flag flips.  Statements issued
+        afterwards raise :class:`SessionClosedError`.  The catalog stays
+        readable for post-mortem inspection — shutdown is about
+        deterministic teardown, not data destruction.
         """
         with self._lock.write_locked():
-            with self._open_pool_mutex:
-                pool, self._open_pool = self._open_pool, None
-                self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
+            self._closed = True
         # After the fence: no statement can reach the worker pool or lease
         # a segment, so stopping the workers and unlinking every shared
         # segment here is race-free (and idempotent).
@@ -233,18 +220,6 @@ class Engine:
                 self._durable.checkpoint(self)
             finally:
                 self._durable.close()
-
-    def _open_repetition_pool(self) -> ThreadPoolExecutor:
-        """The shared executor OPEN repetitions fan out across (lazy)."""
-        with self._open_pool_mutex:
-            if self._closed:
-                raise SessionClosedError("engine has been shut down")
-            if self._open_pool is None:
-                self._open_pool = ThreadPoolExecutor(
-                    max_workers=max(4, os.cpu_count() or 1),
-                    thread_name_prefix="mosaic-open",
-                )
-            return self._open_pool
 
     # ------------------------------------------------------------------ #
     # Sessions
@@ -1163,15 +1138,6 @@ class Engine:
             population_size=size,
             rng=session.rng,
             plan=plan,
-            # Repetitions of the per-repetition fallback loop fan out on
-            # the engine-owned pool (drained by shutdown()); the batched
-            # single-pass path and the serial loop never spin it up.
-            executor=(
-                self._open_repetition_pool()
-                if open_config.resolved_workers() > 1
-                and not uses_batched_execution(generator, open_config, query)
-                else None
-            ),
             parallel=self._execution,
         )
         if cache_note is not None:

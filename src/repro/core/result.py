@@ -29,8 +29,8 @@ class QueryResult:
         self.sample_name = sample_name
         self.notes = notes
         #: OPEN only: how many generated repetitions the answer consumed
-        #: (0 for direct inference, the adaptive stopping point on the
-        #: streaming path, the fixed ``R`` otherwise); ``None`` for
+        #: (0 for direct inference, 1 for a non-aggregate materialisation,
+        #: where the repetition stream stopped otherwise); ``None`` for
         #: CLOSED / SEMI-OPEN results.
         self.repetitions_used = repetitions_used
         #: Serialized :class:`~repro.observability.QueryTrace` when this

@@ -545,8 +545,8 @@ class ParallelExecution:
 
     Passed as ``execute_plan(..., parallel=...)``.  Exposes
     ``morsel_rows`` (the partition threshold), :meth:`map_morsels` (pool
-    or identical in-process loop), and :meth:`run_open_shards` (batched
-    OPEN repetition sharding).  Thread-safe: one pool batch runs at a
+    or identical in-process loop), and :meth:`run_open_shards` (OPEN
+    repetition sharding).  Thread-safe: one pool batch runs at a
     time; a second concurrent query finding the pool busy runs its
     (bit-identical) morsel loop in-process instead of queueing.
     """
@@ -690,20 +690,15 @@ class ParallelExecution:
         rep_ids: np.ndarray,
         repetitions: int,
         weight_value: float,
-        layout=None,
     ):
-        """Shard a batched OPEN execution across repetitions on the pool.
+        """Shard one OPEN repetition chunk across repetitions on the pool.
 
-        Returns ``(aggregate_node, CompositeAggregates)`` bit-identical to
-        :func:`~repro.engine.compiler.execute_plan_composite`, or ``None``
-        when the pool should not (or cannot) run it — the caller then uses
-        the one-pass in-process composite, which produces the same answer.
-
-        ``layout`` is an optional precomputed
-        :func:`~repro.engine.compiler.composite_layout` result — the
-        adaptive streaming path resolves it once on its first chunk and
-        passes it for every later chunk (the generator's fitted vocabulary
-        is stable, so the domain never changes mid-stream).
+        Returns ``(aggregate_node, CompositeAggregates)`` — per-cell values
+        bit-identical to
+        :func:`~repro.engine.compiler.execute_plan_composite`, groups
+        numbered over the vocab cross-product domain — or ``None`` when
+        the pool should not (or cannot) run it; the caller then uses the
+        one-pass in-process composite, which produces the same answer.
         """
         if (
             self._closed
@@ -712,8 +707,7 @@ class ParallelExecution:
             or data.num_rows <= self.morsel_rows
         ):
             return None
-        if layout is None:
-            layout = composite_layout(plan, data)
+        layout = composite_layout(plan, data)
         if layout is None:
             self.note_fallback()
             return None

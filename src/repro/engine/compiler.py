@@ -638,19 +638,13 @@ def execute_plan_partial(
 
 
 def composite_layout(
-    plan: LogicalPlan, relation: Relation, planned_rows: int | None = None
+    plan: LogicalPlan, relation: Relation
 ) -> tuple[AggregateNode, tuple[int, ...], int] | None:
-    """Can a batched OPEN plan shard across repetitions?
+    """Can an OPEN repetition chunk shard across repetitions on the pool?
 
     Same key-encoding requirement as :func:`partition_layout`; the plan
     shape is already constrained by :func:`execute_plan_composite` (filters
     then aggregate; any sort tail is applied to the combined answer).
-
-    ``planned_rows`` widens the row-scaled domain cap for callers that see
-    only a slice of the eventual batch — the adaptive streaming path
-    probes the layout on its first repetition chunk but accumulates over
-    the full repetition budget, so the cap must reflect the planned total,
-    not the chunk.
     """
     aggregate = next(
         (node for node in plan.nodes if isinstance(node, AggregateNode)), None
@@ -661,8 +655,7 @@ def composite_layout(
     if domain is None:
         return None
     sizes, total = domain
-    scale_rows = max(relation.num_rows, planned_rows or 0, 1)
-    if total > min(MAX_PARTITION_CELLS, max(1 << 16, 8 * scale_rows)):
+    if total > min(MAX_PARTITION_CELLS, max(1 << 16, 8 * relation.num_rows)):
         return None
     return aggregate, sizes, total
 

@@ -20,10 +20,9 @@ keep the groups appearing in *all* answers, and average the aggregates.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
-from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -33,10 +32,8 @@ from repro.bayesnet.model import BayesianNetworkModel
 from repro.catalog.metadata import Marginal
 from repro.engine.compiler import (
     compile_select,
-    composite_layout,
     execute_plan,
     execute_plan_composite,
-    execute_plan_open_shard,
 )
 from repro.engine.plan import AggregateNode, LogicalPlan
 from repro.engine.planner import PlannedSource
@@ -65,30 +62,24 @@ class OpenGenerator(Protocol):
 
     A generator whose ``generate`` only *reads* fitted state (drawing all
     randomness from the passed ``rng``) may set the class attribute
-    ``thread_safe_generate = True``; the concurrent OPEN executor then
-    calls it from several threads at once.  Without the marker, concurrent
-    rounds serialize generation behind a per-generator lock (execution of
-    the generated samples still overlaps).
+    ``thread_safe_generate = True``; sessions sharing the cached fitted
+    generator then call it from several threads at once.  Without the
+    marker, concurrent sessions serialize generation behind a
+    per-generator lock (execution of the generated samples still
+    overlaps).
 
     Generators may additionally provide
-    ``generate_batch(n, repetitions, rng)`` returning all repetitions as
-    one stacked ``R x n``-row relation tagged with a dense ``__rep__`` id
-    column (see :mod:`repro.generative.streams`).  The contract: rows
-    ``[r*n, (r+1)*n)`` must be bit-identical to
-    ``generate(n, rng=stream_r)`` where ``stream_r`` is the ``r``-th
-    stream of ``repetition_streams(rng, repetitions)``.  The engine then
-    answers aggregate OPEN queries in a single batched pass instead of a
-    per-repetition loop; generators without the method keep working
-    through the loop.
-
-    ``generate_batch_streams(n, streams)`` extends the contract to
-    *chunked* generation: the engine pre-spawns the full stream list once
-    and hands each chunk its ``streams[start:stop]`` slice, so a chunked
-    emission draws values bit-identical to the monolithic batch over the
-    same repetition indices (RNG stream indexing is per-repetition; see
-    :mod:`repro.generative.streams`).  The adaptive streaming OPEN path
-    requires it; TEXT columns must stay born-encoded against the fitted
-    (stable) vocabulary so group cells mean the same keys in every chunk.
+    ``generate_batch_streams(n, streams)`` returning one repetition per
+    stream as one stacked ``len(streams) x n``-row relation tagged with a
+    dense ``__rep__`` id column (see :mod:`repro.generative.streams`).
+    The contract: rows ``[r*n, (r+1)*n)`` must be bit-identical to
+    ``generate(n, rng=streams[r])``.  The engine pre-spawns the full
+    stream list once and hands each chunk its ``streams[start:stop]``
+    slice, so chunking never changes a drawn value; a generator without
+    the method is driven through ``generate`` stream by stream, to the
+    same answer.  (``generate_batch(n, repetitions, rng)`` on the provided
+    generators spawns the streams itself and delegates; the engine does
+    not call it.)
 
     A generator may expose ``fit_report`` — a flat dict of what its last
     ``fit`` did; the engine copies it onto the ``open.fit`` trace span.
@@ -105,9 +96,9 @@ class OpenGenerator(Protocol):
     def generate(self, n: int, rng: np.random.Generator | None = None) -> Relation: ...
 
 
-# Per-generator locks serializing generate() for generators that are not
+# Per-generator locks serializing generation for generators that are not
 # marked thread_safe_generate (e.g. MSWG's compiled plan computes in
-# buffers it reuses across calls).  Keyed weakly so fitted generators
+# buffers it reuses across calls) — sessions share one cached fitted model.  Keyed weakly so fitted generators
 # evicted from the engine cache do not pin a lock forever.
 _GENERATE_LOCKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _GENERATE_LOCKS_GUARD = threading.Lock()
@@ -115,7 +106,7 @@ _FALLBACK_GENERATE_LOCK = threading.Lock()
 
 
 def _generation_lock(generator) -> threading.Lock | None:
-    """The lock guarding ``generator.generate`` — ``None`` if not needed."""
+    """The lock guarding ``generator``'s generation — ``None`` if not needed."""
     if getattr(generator, "thread_safe_generate", False):
         return None
     with _GENERATE_LOCKS_GUARD:
@@ -360,32 +351,17 @@ class OpenQueryConfig:
     rows as the original sample ... return the groups appearing in all 10
     answers, averaging the aggregate value").
 
-    ``batched`` (the default) answers aggregate queries in a single pass:
-    the generator emits all repetitions as one ``R x n``-row batch and the
-    query executes once over composite ``(rep, group)`` codes.  Disabling
-    it — or using a generator without ``generate_batch``, or a query with
-    LIMIT (whose per-repetition truncation the batch cannot reproduce) —
-    falls back to the per-repetition loop.  Both paths produce
-    bit-identical answers under a fixed session RNG.
-
-    ``max_workers`` bounds the thread pool the *per-repetition loop* fans
-    out across; ``None`` sizes it to ``min(repetitions, cpu_count)`` and
-    ``1`` forces the serial loop.  Each repetition draws from its own
-    spawned RNG stream, so batched, concurrent, and serial execution all
-    produce bit-identical answers.
-
-    ``tolerance > 0`` switches qualifying aggregate queries to *adaptive
-    streaming* execution: the generator emits repetitions in chunks of
-    ``chunk_repetitions``, per-group running mean/variance update after
-    every chunk (vectorized Welford), and generation stops as soon as —
-    after at least ``min_repetitions`` participating repetitions — every
-    surviving group's CI half-width is within ``tolerance`` of its running
-    mean for every aggregate, up to the ``max_repetitions`` cap (``None``
-    means ``repetitions``).  ``tolerance=0`` (the default) keeps today's
-    fixed-R batched path bit-identically.  ``report_ci=True`` opts result
-    relations into per-group ``{alias}__std__``/``{alias}__ci__`` columns
-    (sample std across participating repetitions and the CI half-width of
-    the reported mean).
+    ``tolerance > 0`` lets an aggregate query stop generating early:
+    repetitions are emitted ``chunk_repetitions`` at a time, and generation
+    stops as soon as — after at least ``min_repetitions`` participating
+    repetitions — every surviving group's CI half-width is within
+    ``tolerance`` of its running mean for every aggregate, up to the
+    ``max_repetitions`` cap (``None`` means ``repetitions``).  With
+    ``tolerance=0`` (the default) there is nothing to stop on, so all
+    ``repetitions`` are generated in one chunk.  ``report_ci=True`` opts
+    result relations into per-group ``{alias}__std__``/``{alias}__ci__``
+    columns (sample std across participating repetitions and the CI
+    half-width of the reported mean).
     """
 
     generator_factory: Callable[[], OpenGenerator] = field(
@@ -395,21 +371,15 @@ class OpenQueryConfig:
     rows_per_generation: int | None = None  # None -> sample size
     max_materialized_rows: int = 50_000
     categorical_columns: set[str] | None = None
-    max_workers: int | None = None
-    batched: bool = True
     tolerance: float = 0.0
     min_repetitions: int = 3
     max_repetitions: int | None = None  # None -> repetitions
     chunk_repetitions: int = 4
     report_ci: bool = False
 
-    def resolved_workers(self) -> int:
-        if self.max_workers is not None:
-            return max(1, min(self.max_workers, self.repetitions))
-        return max(1, min(self.repetitions, os.cpu_count() or 1))
-
     def resolved_max_repetitions(self) -> int:
-        """The adaptive repetition cap (``repetitions`` unless overridden)."""
+        """The repetition cap under ``tolerance > 0`` (``repetitions``
+        unless overridden)."""
         cap = self.repetitions if self.max_repetitions is None else self.max_repetitions
         return max(1, int(cap))
 
@@ -419,50 +389,14 @@ class OpenQueryConfig:
         return min(max(2, int(self.min_repetitions)), self.resolved_max_repetitions())
 
 
-def uses_batched_execution(
-    generator: OpenGenerator, config: OpenQueryConfig, query: SelectQuery
-) -> bool:
-    """Will ``evaluate_open`` take the batched single-pass path?
+def runs_per_repetition(query: SelectQuery) -> bool:
+    """Must ``query`` be answered one repetition at a time?
 
-    Exposed so the engine can avoid spinning up the repetition thread pool
-    for queries that will never submit to it.  Queries that GROUP BY a
-    column the SELECT list drops stay on the per-repetition path: their
-    answers do not carry the key columns, so the reference combine
-    intersects on what is visible — a semantics the composite pass (which
-    sees the real group codes) would otherwise silently improve on.
+    A LIMIT on an aggregate truncates each repetition's answer *before*
+    the group intersection, which per-(repetition, group) cells cannot
+    express; every other aggregate shape runs on the chunked stream.
     """
-    if not (
-        config.batched
-        and hasattr(generator, "generate_batch")
-        and bool(query.has_aggregates or query.group_by)
-        and query.limit is None
-    ):
-        return False
-    selected = {
-        name.lower()
-        for item in query.items
-        if not item.is_aggregate
-        for name in [getattr(item.expr, "name", None)]
-        if name is not None
-    }
-    return all(key.lower() in selected for key in query.group_by)
-
-
-def uses_adaptive_execution(
-    generator: OpenGenerator, config: OpenQueryConfig, query: SelectQuery
-) -> bool:
-    """Will ``evaluate_open`` take the adaptive streaming path?
-
-    Adaptive execution is the batched path plus chunked generation and a
-    variance-based stop rule, so it needs everything
-    :func:`uses_batched_execution` needs, a positive ``tolerance``, and a
-    generator with ``generate_batch_streams``.
-    """
-    return (
-        config.tolerance > 0.0
-        and hasattr(generator, "generate_batch_streams")
-        and uses_batched_execution(generator, config, query)
-    )
+    return query.limit is not None
 
 
 def evaluate_open(
@@ -473,16 +407,14 @@ def evaluate_open(
     population_size: float,
     rng: np.random.Generator,
     plan: LogicalPlan | None = None,
-    executor: Executor | None = None,
     parallel=None,
 ) -> tuple[Relation, list[str], dict]:
     """Answer ``query`` from generated population samples.
 
     Returns ``(relation, notes, meta)``; ``meta`` carries execution
     metadata — at least ``repetitions_used`` (how many repetitions were
-    actually generated: the fixed ``R`` on the batched/loop paths, the
-    adaptive stopping point on the streaming path, 0 for direct
-    inference, 1 for the non-aggregate single materialisation).
+    actually generated: where the stream stopped, 0 for direct inference,
+    1 for the non-aggregate single materialisation).
 
     ``generator`` must already be fitted; ``population_size`` scales the
     uniform weights of each generated sample.  ``plan`` is the compiled form
@@ -490,21 +422,19 @@ def evaluate_open(
     supplied by :class:`~repro.core.engine.Engine` on plan-cache hits,
     compiled here otherwise.
 
-    The ``repetitions`` generate → execute → combine rounds fan out across
-    a thread pool (``config.max_workers``): ``executor`` when supplied (the
-    engine's shared OPEN-repetition pool, drained by ``Engine.shutdown``),
-    otherwise a per-call pool.  Each round draws from its own RNG stream
-    spawned off a single ``rng`` draw, so the answer is a pure function of
-    the session RNG state regardless of scheduling — serial
-    (``max_workers=1``), per-call-pool, and shared-pool execution are
-    bit-identical.
+    Aggregates run on the chunked stream (:func:`_evaluate_open_stream`),
+    except the one :func:`runs_per_repetition` shape, which takes
+    :func:`_evaluate_open_loop`.  Each repetition draws from its own RNG
+    stream spawned off a single ``rng`` draw, so the answer is a function
+    of the query, the model and the session RNG state — not of chunking or
+    of where execution ran.
 
     ``parallel`` is the engine's
-    :class:`~repro.core.workers.ParallelExecution` context.  The batched
-    path shards its single composite pass across repetitions on the worker
-    pool (see :meth:`run_open_shards`); the per-repetition loop and the
-    non-aggregate path hand it to :func:`execute_plan` for ordinary morsel
-    scans.  Every parallel variant is bit-identical to serial execution.
+    :class:`~repro.core.workers.ParallelExecution` context: the stream
+    shards a large chunk across repetitions on the worker pool (see
+    :meth:`run_open_shards`), the other paths hand it to
+    :func:`execute_plan` for ordinary morsel scans.  Every parallel
+    variant is bit-identical to serial execution.
     """
     generator_name = getattr(generator, "name", type(generator).__name__)
     rows = config.rows_per_generation or source.sample.num_rows
@@ -525,117 +455,28 @@ def evaluate_open(
             {"repetitions_used": 0},
         )
 
-    notes = [f"OPEN: {config.repetitions} generated sample(s) from {generator_name}"]
-    generation_lock = _generation_lock(generator)
-
-    def generate_with(stream: np.random.Generator, count: int) -> Relation:
-        if generation_lock is None:
-            return generator.generate(count, rng=stream)
-        with generation_lock:
-            return generator.generate(count, rng=stream)
-
-    if not (query.has_aggregates or query.group_by):
+    if not weighted:
         rows = min(int(np.ceil(population_size)), config.max_materialized_rows)
-        generated = generate_with(_repetition_streams(rng, 1)[0], rows)
-        generated, _ = _apply_view(generated, predicate)
-        notes.append(
+        (stream,) = repetition_streams(rng, 1)
+        generated = _apply_view(_generate(generator, rows, stream), predicate)
+        relation = execute_plan(plan, generated, parallel=parallel)
+        notes = [
             f"non-aggregate OPEN query: materialised one generated sample of "
             f"{rows} row(s)"
-        )
-        return (
-            execute_plan(plan, generated, parallel=parallel),
-            notes,
-            {"repetitions_used": 1},
-        )
-
-    if uses_batched_execution(generator, config, query):
-        if uses_adaptive_execution(generator, config, query):
-            return _evaluate_open_adaptive(
-                query,
-                generator,
-                config,
-                population_size,
-                rng,
-                plan,
-                predicate,
-                rows,
-                notes,
-                generation_lock,
-                parallel,
-            )
-        if config.tolerance > 0.0:
-            notes.append(
-                "OPEN: adaptive execution requested but the generator has no "
-                "generate_batch_streams; running the fixed-R batched path"
-            )
-        return _evaluate_open_batched(
-            query,
-            generator,
-            config,
-            population_size,
-            rng,
-            plan,
-            predicate,
-            rows,
-            notes,
-            generation_lock,
-            parallel,
-        )
-
-    streams = _repetition_streams(rng, config.repetitions)
-
-    def one_round(index: int) -> Relation | None:
-        generated = generate_with(streams[index], rows)
-        generated, _ = _apply_view(generated, predicate)
-        if generated.num_rows == 0:
-            return None
-        # Each generated tuple stands for population_size / rows population
-        # tuples ("uniformly reweight the generated sample to match the size
-        # of the population", Sec. 5.3); the view filter keeps that scale.
-        weights = np.full(generated.num_rows, population_size / rows)
-        return execute_plan(plan, generated, weights, parallel=parallel)
-
-    workers = config.resolved_workers()
-    if workers > 1 and executor is not None:
-        # Waves of `workers` keep the configured fan-out bound on the
-        # shared pool (which may be wider) without parking blocked tasks
-        # in pool threads another query could be using.
-        rounds = []
-        for start in range(0, config.repetitions, workers):
-            wave = range(start, min(start + workers, config.repetitions))
-            rounds.extend(executor.map(one_round, wave))
-        notes.append("OPEN: repetitions fanned out on the shared engine pool")
-    elif workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rounds = list(pool.map(one_round, range(config.repetitions)))
-        notes.append(f"OPEN: repetitions fanned out over {workers} thread(s)")
+        ]
+        meta = {"repetitions_used": 1}
     else:
-        rounds = [one_round(index) for index in range(config.repetitions)]
-    answers = [answer for answer in rounds if answer is not None]
-    if not answers:
-        raise VisibilityError(
-            "every generated sample was empty after the population view "
-            "predicate; the generator cannot reach this population"
+        run = _evaluate_open_loop if runs_per_repetition(query) else _evaluate_open_stream
+        relation, notes, meta = run(
+            query, generator, config, population_size, rng, plan, predicate, rows, parallel
         )
-    if len(answers) < config.repetitions:
-        notes.append(
-            f"warning: {config.repetitions - len(answers)} generation(s) "
-            "produced no tuples inside the population view"
-        )
-
-    key_columns = _key_columns(query, answers[0])
-    combined = combine_open_answers(answers, key_columns)
-    notes.append(
-        f"kept groups present in all {len(answers)} answers, averaged aggregates"
+    notes.insert(
+        0, f"OPEN: {meta['repetitions_used']} generated sample(s) from {generator_name}"
     )
-    return (
-        _order_combined(combined, query),
-        notes,
-        {"repetitions_used": config.repetitions},
-    )
+    return relation, notes, meta
 
 
-def _evaluate_open_batched(
+def _evaluate_open_loop(
     query: SelectQuery,
     generator: OpenGenerator,
     config: OpenQueryConfig,
@@ -644,124 +485,81 @@ def _evaluate_open_batched(
     plan: LogicalPlan,
     predicate,
     rows: int,
-    notes: list[str],
-    generation_lock: threading.Lock | None,
     parallel=None,
 ) -> tuple[Relation, list[str], dict]:
-    """The single-pass OPEN path: one batch, one execution, one combine.
+    """Sec. 5.3 read literally: one generate → execute round per
+    repetition, then :func:`combine_open_answers`.
 
-    The generator emits all ``repetitions`` samples as one relation tagged
-    with ``__rep__`` ids (each repetition drawn from its own spawned RNG
-    stream, exactly as the serial loop draws them), the population view
-    predicate filters the whole batch in one vectorized pass, the compiled
-    plan executes once over composite ``(rep, group)`` codes, and
-    :func:`combine_composite_answers` reduces the per-repetition answers
-    without materialising ``R`` intermediate relations.  Bit-identical to
-    the per-repetition loop under a fixed session RNG.
+    The engine takes this path only for :func:`runs_per_repetition`
+    queries; the tests use it as the reference the stream must equal.
     """
     repetitions = config.repetitions
-    if generation_lock is None:
-        batch = generator.generate_batch(rows, repetitions, rng=rng)
-    else:
-        with generation_lock:
-            batch = generator.generate_batch(rows, repetitions, rng=rng)
-    rep_ids = np.asarray(batch.column(REPETITION_COLUMN), dtype=np.int64)
-    data = batch.drop_column(REPETITION_COLUMN)
-    return _finish_batched(
-        query,
-        config,
-        data,
-        rep_ids,
-        repetitions,
-        population_size,
-        rows,
-        plan,
-        predicate,
-        notes,
-        parallel,
-    )
+    answers = []
+    for stream in repetition_streams(rng, repetitions):
+        generated = _apply_view(_generate(generator, rows, stream), predicate)
+        if generated.num_rows:
+            # Each generated tuple stands for population_size / rows
+            # population tuples ("uniformly reweight the generated sample
+            # to match the size of the population", Sec. 5.3); the view
+            # filter keeps that scale.
+            weights = np.full(generated.num_rows, population_size / rows)
+            answers.append(execute_plan(plan, generated, weights, parallel=parallel))
+    notes = _participation_notes(repetitions, len(answers))
+    notes.append(_kept_note(len(answers)))
+    combined = combine_open_answers(answers, _key_columns(query, answers[0]))
+    return _order_combined(combined, query), notes, {"repetitions_used": repetitions}
 
 
-def _finish_batched(
-    query: SelectQuery,
-    config: OpenQueryConfig,
-    data: Relation,
-    rep_ids: np.ndarray,
-    repetitions: int,
-    population_size: float,
-    rows: int,
-    plan: LogicalPlan,
-    predicate,
-    notes: list[str],
-    parallel,
-) -> tuple[Relation, list[str], dict]:
-    """View-filter, composite-execute and combine one full ``R x n`` batch.
-
-    Shared by the fixed-R batched path and the adaptive path's fallback
-    (whose unioned chunk batch is row-identical to a monolithic one, so
-    both entries produce bit-identical answers).
-    """
-    if predicate is not None and data.num_rows:
-        bound = bind_expression(predicate, data.schema)
-        mask = np.asarray(bound.evaluate(data), dtype=bool)
-        data = data.filter(mask)
-        rep_ids = rep_ids[mask]
-
-    participating = np.bincount(rep_ids, minlength=repetitions) > 0
-    answered = int(participating.sum())
+def _participation_notes(generated: int, answered: int) -> list[str]:
+    """Warn about repetitions the population view emptied; raise if all were."""
     if answered == 0:
         raise VisibilityError(
             "every generated sample was empty after the population view "
             "predicate; the generator cannot reach this population"
         )
-    if answered < repetitions:
-        notes.append(
-            f"warning: {repetitions - answered} generation(s) "
-            "produced no tuples inside the population view"
-        )
-
-    # Each generated tuple stands for population_size / rows population
-    # tuples ("uniformly reweight the generated sample to match the size
-    # of the population", Sec. 5.3); the view filter keeps that scale.
-    weight_value = population_size / rows
-    # Large batches shard across the worker pool on repetition boundaries:
-    # every (rep, group) composite cell lives wholly inside one shard, so
-    # the stitched result is bit-identical to the one-pass execution below.
-    sharded = (
-        None
-        if parallel is None
-        else parallel.run_open_shards(plan, data, rep_ids, repetitions, weight_value)
-    )
-    if sharded is not None:
-        aggregate_node, composite = sharded
-        notes.append("OPEN: composite pass sharded across the worker pool")
-    else:
-        weights = np.full(data.num_rows, weight_value)
-        aggregate_node, composite = execute_plan_composite(
-            plan, data, rep_ids, repetitions, weights
-        )
-    combined = combine_composite_answers(
-        data,
-        aggregate_node,
-        composite,
-        participating,
-        report_ci=config.report_ci,
-    )
-    notes.append(
-        "OPEN: batched single-pass execution over composite (rep, group) codes"
-    )
-    notes.append(
-        f"kept groups present in all {answered} answers, averaged aggregates"
-    )
-    return (
-        _order_combined(combined, query),
-        notes,
-        {"repetitions_used": repetitions},
-    )
+    if answered == generated:
+        return []
+    return [
+        f"warning: {generated - answered} generation(s) "
+        "produced no tuples inside the population view"
+    ]
 
 
-#: z-score of the 95% normal confidence interval the adaptive stop rule
-#: (and the opt-in ``__ci__`` columns) use.
+def _kept_note(answered: int) -> str:
+    return f"kept groups present in all {answered} answers, averaged aggregates"
+
+
+def _generate(
+    generator: OpenGenerator, rows: int, stream: np.random.Generator
+) -> Relation:
+    """One repetition through ``generator.generate``, under its lock."""
+    with _generation_lock(generator) or nullcontext():
+        return generator.generate(rows, rng=stream)
+
+
+def _generate_chunk(
+    generator: OpenGenerator, rows: int, streams: list[np.random.Generator]
+) -> tuple[Relation, np.ndarray]:
+    """``len(streams)`` repetitions of ``rows`` tuples, stacked in stream
+    order, with each row's repetition index within the chunk.
+
+    The stream's one generation call site: ``generate_batch_streams`` when
+    the generator has it, otherwise ``generate`` stream by stream — the
+    contract makes the two bit-identical.
+    """
+    batched = getattr(generator, "generate_batch_streams", None)
+    if batched is None:
+        parts = [_generate(generator, rows, stream) for stream in streams]
+        sizes = [part.num_rows for part in parts]
+        return union_all(parts), np.repeat(np.arange(len(parts)), sizes)
+    with _generation_lock(generator) or nullcontext():
+        batch = batched(rows, streams)
+    rep_ids = np.asarray(batch.column(REPETITION_COLUMN), dtype=np.int64)
+    return batch.drop_column(REPETITION_COLUMN), rep_ids
+
+
+#: z-score of the 95% normal confidence interval the stop rule (and the
+#: opt-in ``__ci__`` columns) use.
 CONFIDENCE_Z = 1.96
 
 #: Relative-tolerance denominators floor here: a group whose running mean
@@ -771,7 +569,7 @@ CONFIDENCE_Z = 1.96
 _TOLERANCE_FLOOR = 1e-12
 
 
-def _evaluate_open_adaptive(
+def _evaluate_open_stream(
     query: SelectQuery,
     generator: OpenGenerator,
     config: OpenQueryConfig,
@@ -780,54 +578,39 @@ def _evaluate_open_adaptive(
     plan: LogicalPlan,
     predicate,
     rows: int,
-    notes: list[str],
-    generation_lock: threading.Lock | None,
     parallel=None,
 ) -> tuple[Relation, list[str], dict]:
-    """The adaptive streaming OPEN path: chunked generation, early stop.
+    """The OPEN aggregate path: a chunked stream of repetitions.
 
-    The full repetition-stream list spawns once (one draw on the session
-    RNG, exactly as the fixed paths derive theirs), then repetitions are
-    generated ``chunk_repetitions`` at a time.  Each chunk runs through
-    the composite kernels in *vocab cross-product cell space* — the
-    chunk-stable group identity morsel execution already relies on — and
-    its per-(repetition, cell) partials merge into O(G) running state:
-    present-in-all intersection, per-aggregate totals (accumulated
-    repetition by repetition, the fixed combine's order), and vectorized
-    Welford mean/variance.  After each chunk, once ``min_repetitions``
-    participating repetitions have accumulated, generation stops as soon
-    as every surviving group's CI half-width is within the relative
-    ``tolerance`` of its running mean for every aggregate; otherwise the
-    stream continues to the ``max_repetitions`` cap.  Chunks shard across
-    the worker pool when it is available, and peak batch memory is capped
-    at ``chunk_repetitions x n`` rows instead of ``R x n``.
-
-    Queries whose GROUP BY keys lack a chunk-stable encoded domain
-    (numeric keys, oversized vocab cross-products) fall back to the
-    fixed-R batched path — generating the *remaining* repetitions from
-    the same pre-spawned streams, so the fallback answer is bit-identical
-    to the monolithic batch.
+    The ``cap`` repetition streams spawn once (one draw on the session
+    RNG), then repetitions are generated ``chunk`` at a time.  Each chunk
+    is view-filtered in one vectorized pass and executed once over
+    composite ``(rep, group)`` codes — on the worker pool, sharded on
+    repetition boundaries, when the chunk is large enough — and its
+    per-(repetition, group) cells merge into the O(G) state of
+    :class:`_SurvivingGroups`.  With ``tolerance == 0`` there is nothing to
+    stop on: ``chunk = cap`` and the stream is one generate, one execute,
+    one combine.  Otherwise, after each chunk, once ``min_repetitions``
+    repetitions have participated, generation stops as soon as every
+    surviving group's CI half-width is within the relative ``tolerance`` of
+    its running mean for every aggregate; peak batch memory is
+    ``chunk x n`` rows instead of ``cap x n``.  Chunking never changes a
+    drawn value or an accumulation order, so any chunk size run to the
+    same repetition gives the same bytes.
     """
-    cap = config.resolved_max_repetitions()
+    adaptive = config.tolerance > 0.0
+    cap = config.resolved_max_repetitions() if adaptive else config.repetitions
+    chunk = min(cap, max(1, int(config.chunk_repetitions))) if adaptive else cap
     min_repetitions = config.resolved_min_repetitions()
-    chunk = max(1, int(config.chunk_repetitions))
     streams = repetition_streams(rng, cap)
+    # Each generated tuple stands for population_size / rows population
+    # tuples ("uniformly reweight the generated sample to match the size
+    # of the population", Sec. 5.3); the view filter keeps that scale.
     weight_value = population_size / rows
 
-    def generate_chunk(chunk_streams) -> Relation:
-        if generation_lock is None:
-            return generator.generate_batch_streams(rows, chunk_streams)
-        with generation_lock:
-            return generator.generate_batch_streams(rows, chunk_streams)
-
-    aggregate_node: AggregateNode | None = None
-    domain_sizes: tuple[int, ...] = ()
-    domain_total = 0
-    key_vocabs: list[np.ndarray] = []
-    present_all: np.ndarray | None = None
-    totals: list[np.ndarray] = []
-    moments: list[WelfordMoments] = []
-    answered = 0
+    groups = _SurvivingGroups(
+        next(node for node in plan.nodes if isinstance(node, AggregateNode))
+    )
     used = 0
     sharded_any = False
     trace = current_trace()
@@ -836,108 +619,32 @@ def _evaluate_open_adaptive(
     )
 
     for start, stop in repetition_chunks(cap, chunk):
-        chunk_reps = stop - start
-        if trace is not None:
-            with trace.span(
-                "open.generate", rep_start=start, rep_stop=stop
-            ) as span:
-                batch = generate_chunk(streams[start:stop])
-                span["rows"] = batch.num_rows
-        else:
-            batch = generate_chunk(streams[start:stop])
-        local_ids = np.asarray(batch.column(REPETITION_COLUMN), dtype=np.int64)
-        data = batch.drop_column(REPETITION_COLUMN)
-
-        if aggregate_node is None:
-            layout = composite_layout(plan, data, planned_rows=rows * cap)
-            if layout is None:
-                notes.append(
-                    "OPEN: adaptive streaming needs chunk-stable group cells "
-                    "(encoded GROUP BY keys, bounded domain); falling back "
-                    "to the fixed-R batched path"
-                )
-                return _adaptive_layout_fallback(
-                    query,
-                    config,
-                    population_size,
-                    rows,
-                    plan,
-                    predicate,
-                    notes,
-                    parallel,
-                    generate_chunk,
-                    data,
-                    local_ids,
-                    streams,
-                    stop,
-                    cap,
-                )
-            aggregate_node, sizes, total = layout
-            domain_sizes, domain_total = tuple(sizes), int(total)
-            key_vocabs = [
-                np.asarray(data.encoding(key)[0])
-                for key in aggregate_node.group_keys
-            ]
-            present_all = np.ones(domain_total, dtype=bool)
-            totals = [
-                np.zeros(domain_total, dtype=np.float64)
-                for _ in aggregate_node.specs
-            ]
-            moments = [WelfordMoments(domain_total) for _ in aggregate_node.specs]
-        else:
-            _check_vocab_stability(data, aggregate_node.group_keys, key_vocabs)
-
-        if predicate is not None and data.num_rows:
-            bound = bind_expression(predicate, data.schema)
-            mask = np.asarray(bound.evaluate(data), dtype=bool)
-            data = data.filter(mask)
-            local_ids = local_ids[mask]
-
-        participating = np.bincount(local_ids, minlength=chunk_reps) > 0
-        sharded = (
-            None
-            if parallel is None
-            else parallel.run_open_shards(
-                plan,
-                data,
-                local_ids,
-                chunk_reps,
-                weight_value,
-                layout=(aggregate_node, domain_sizes, domain_total),
-            )
-        )
-        if sharded is not None:
-            present_block = sharded[1].present
-            value_blocks = sharded[1].values
-            if not sharded_any:
-                sharded_any = True
-                notes.append("OPEN: adaptive chunks sharded across the worker pool")
-        else:
-            partial = execute_plan_open_shard(
-                plan,
-                data,
-                local_ids,
-                chunk_reps,
-                weight_value,
-                domain_sizes,
-                domain_total,
-                0,
-            )
-            present_block = partial["present"]
-            value_blocks = partial["values"]
+        with (
+            trace.span("open.generate", rep_start=start, rep_stop=stop)
+            if trace is not None
+            else nullcontext({})
+        ) as span:
+            data, rep_ids = _generate_chunk(generator, rows, streams[start:stop])
+            span["rows"] = data.num_rows
+        mask = _view_mask(data, predicate)
+        if mask is not None:
+            data, rep_ids = data.filter(mask), rep_ids[mask]
 
         used = stop
-        rep_rows = np.flatnonzero(participating)
-        if rep_rows.size:
-            answered += int(rep_rows.size)
-            present_all &= present_block[rep_rows].all(axis=0)
-            for index, matrix in enumerate(value_blocks):
-                # Accumulate repetition by repetition (ascending), the
-                # fixed combine's order, so running to the cap reproduces
-                # the monolithic batch's totals exactly.
-                for repetition in rep_rows:
-                    totals[index] += matrix[repetition]
-                moments[index].update(matrix[rep_rows])
+        participating = np.bincount(rep_ids, minlength=stop - start) > 0
+        if participating.any():
+            sharded = (
+                None
+                if parallel is None
+                else parallel.run_open_shards(
+                    plan, data, rep_ids, stop - start, weight_value
+                )
+            )
+            sharded_any = sharded_any or sharded is not None
+            _, composite = sharded or execute_plan_composite(
+                plan, data, rep_ids, stop - start, np.full(data.num_rows, weight_value)
+            )
+            groups.merge(data, composite, participating)
 
         if chunk_log is not None:
             # Per-chunk convergence telemetry: the worst (largest) relative
@@ -947,199 +654,155 @@ def _evaluate_open_adaptive(
                 {
                     "rep_start": start,
                     "rep_stop": stop,
-                    "answered": answered,
-                    "max_rel_ci_half_width": _max_rel_halfwidth(
-                        moments, present_all
-                    ),
+                    "answered": groups.answered,
+                    "max_rel_ci_half_width": groups.max_rel_halfwidth(),
                 }
             )
-
-        if answered >= min_repetitions and _converged(
-            moments, present_all, config.tolerance
+        if (
+            adaptive
+            and groups.answered >= min_repetitions
+            and groups.converged(config.tolerance)
         ):
             break
 
-    if answered == 0:
-        raise VisibilityError(
-            "every generated sample was empty after the population view "
-            "predicate; the generator cannot reach this population"
-        )
-    if used - answered:
-        notes.append(
-            f"warning: {used - answered} generation(s) "
-            "produced no tuples inside the population view"
-        )
-    combined = _combine_adaptive(
-        aggregate_node,
-        domain_sizes,
-        key_vocabs,
-        present_all,
-        totals,
-        moments,
-        answered,
-        config.report_ci,
-    )
+    notes = _participation_notes(used, groups.answered)
+    if sharded_any:
+        notes.append("OPEN: composite pass sharded across the worker pool")
     notes.append(
-        f"OPEN: adaptive streaming execution over {used} of up to {cap} "
-        f"repetition(s) in chunks of {chunk} (tolerance={config.tolerance:g})"
+        f"OPEN: streamed {used} of up to {cap} repetition(s) in chunks of "
+        f"{chunk} over composite (rep, group) codes"
     )
-    if used < cap:
+    if adaptive:
         notes.append(
             "OPEN: stopped early — every group's CI half-width within the "
-            f"relative tolerance after {answered} participating repetition(s)"
+            f"relative tolerance ({config.tolerance:g}) after "
+            f"{groups.answered} participating repetition(s)"
+            if used < cap
+            else "OPEN: repetition cap reached before the tolerance target"
         )
-    else:
-        notes.append("OPEN: repetition cap reached before the tolerance target")
-    notes.append(
-        f"kept groups present in all {answered} answers, averaged aggregates"
-    )
+    notes.append(_kept_note(groups.answered))
     meta = {
         "repetitions_used": used,
         "repetitions_cap": cap,
-        "adaptive": True,
+        "adaptive": adaptive,
         "early_stop": used < cap,
-        "peak_batch_rows": min(chunk, cap) * rows,
     }
+    combined = combine_composite_answers(groups, config.report_ci)
     return _order_combined(combined, query), notes, meta
 
 
-def _max_rel_halfwidth(
-    moments: list[WelfordMoments], kept_mask: np.ndarray
-) -> float | None:
-    """The largest relative CI half-width across surviving groups, or
-    ``None`` before any repetition participated (trace telemetry only)."""
-    if not kept_mask.any():
-        return None
-    worst = 0.0
-    for tracker in moments:
-        if tracker.count == 0:
+class _SurvivingGroups:
+    """O(G) running state of the groups present in every repetition so far.
+
+    Chunks are matched by *key rows*, not by a shared cell domain: the
+    surviving set only shrinks, so each merge is one ``concat`` +
+    :func:`group_codes` over at most ``G + g`` representative rows —
+    whatever the key types.  Group order stays key-sorted throughout (the
+    order the composite kernels emit within a chunk and ``group_codes``
+    assigns across the union), which is the order of the combined answer.
+    """
+
+    def __init__(self, aggregate_node: AggregateNode):
+        self.aggregate_node = aggregate_node
+        self.rows: Relation | None = None  # one generated row per surviving group
+        self.totals: list[np.ndarray] = []
+        self.moments: list[WelfordMoments] = []
+        self.answered = 0  # participating repetitions merged so far
+
+    def merge(
+        self,
+        data: Relation,
+        composite: CompositeAggregates,
+        participating: np.ndarray,
+    ) -> None:
+        """Fold one chunk's per-(repetition, group) cells into the state."""
+        repetitions = np.flatnonzero(participating)
+        cells = np.flatnonzero(composite.present[repetitions].all(axis=0))
+        rows = data.take(composite.first_indices[cells])
+        if self.rows is None:
+            specs = self.aggregate_node.specs
+            self.totals = [np.zeros(cells.size) for _ in specs]
+            self.moments = [WelfordMoments(cells.size) for _ in specs]
+        else:
+            held = self.rows.num_rows
+            codes, _, _ = group_codes(
+                self.rows.concat(rows), self.aggregate_node.group_keys
+            )
+            _, mine, theirs = np.intersect1d(
+                codes[:held], codes[held:], assume_unique=True, return_indices=True
+            )
+            rows, cells = self.rows.take(mine), cells[theirs]
+            self.totals = [totals[mine] for totals in self.totals]
+            for tracker in self.moments:
+                tracker.take(mine)
+        self.rows = rows
+        for index, matrix in enumerate(composite.values):
+            values = matrix[np.ix_(repetitions, cells)]
+            # Accumulate repetition by repetition (ascending) — the order
+            # the reference combine's bincount over rep-major union rows
+            # adds in, so totals match it to the last bit.
+            for row in values:
+                self.totals[index] = self.totals[index] + row
+            self.moments[index].update(values)
+        self.answered += int(repetitions.size)
+
+    def max_rel_halfwidth(self) -> float | None:
+        """The largest relative CI half-width across surviving groups and
+        aggregates, or ``None`` while there is nothing to measure (trace
+        telemetry only)."""
+        if self.rows is None or self.rows.num_rows == 0:
             return None
-        half = tracker.ci_halfwidth(CONFIDENCE_Z)[kept_mask]
-        means = tracker.mean[kept_mask]
-        rel = half / np.maximum(np.abs(means), _TOLERANCE_FLOOR)
-        if rel.size:
-            worst = max(worst, float(rel.max()))
-    return round(worst, 6)
+        worst = 0.0
+        for tracker in self.moments:
+            relative = tracker.ci_halfwidth(CONFIDENCE_Z) / np.maximum(
+                np.abs(tracker.mean), _TOLERANCE_FLOOR
+            )
+            worst = max(worst, float(relative.max()))
+        return round(worst, 6)
 
-
-def _converged(
-    moments: list[WelfordMoments], kept_mask: np.ndarray, tolerance: float
-) -> bool:
-    """Does every aggregate meet the relative-tolerance target on every
-    currently surviving group?"""
-    if not kept_mask.any():
-        return False
-    for tracker in moments:
-        half = tracker.ci_halfwidth(CONFIDENCE_Z)[kept_mask]
-        means = tracker.mean[kept_mask]
-        if not np.all(
-            half <= tolerance * np.maximum(np.abs(means), _TOLERANCE_FLOOR)
-        ):
+    def converged(self, tolerance: float) -> bool:
+        """Does every aggregate meet the relative-tolerance target on every
+        surviving group?"""
+        if self.rows is None or self.rows.num_rows == 0:
             return False
-    return True
-
-
-def _check_vocab_stability(
-    data: Relation, group_keys, key_vocabs: list[np.ndarray]
-) -> None:
-    """Every chunk must carry the same fitted vocabularies — cell ids are
-    only comparable across chunks when the vocab never moves."""
-    for key, vocab in zip(group_keys, key_vocabs):
-        entry = data.encoding(key)
-        if entry is None or not np.array_equal(np.asarray(entry[0]), vocab):
-            raise GenerativeModelError(
-                f"generator changed the vocabulary of GROUP BY key {key!r} "
-                "between repetition chunks; adaptive streaming requires the "
-                "stable fitted vocabulary the chunked-stream contract "
-                "guarantees"
+        return all(
+            np.all(
+                tracker.ci_halfwidth(CONFIDENCE_Z)
+                <= tolerance * np.maximum(np.abs(tracker.mean), _TOLERANCE_FLOOR)
             )
-
-
-def _combine_adaptive(
-    aggregate_node: AggregateNode,
-    domain_sizes: tuple[int, ...],
-    key_vocabs: list[np.ndarray],
-    present_all: np.ndarray,
-    totals: list[np.ndarray],
-    moments: list[WelfordMoments],
-    answered: int,
-    report_ci: bool,
-) -> Relation:
-    """The adaptive sibling of :func:`combine_composite_answers`.
-
-    Surviving cells are those present in every participating repetition;
-    key values decode straight from the captured vocabularies (chunk rows
-    are long gone — this is what caps peak memory), and ascending cell id
-    is ascending key order, the same key-sorted output the fixed paths
-    produce.
-    """
-    out_schema = _combined_schema(aggregate_node, report_ci)
-    kept_cells = np.flatnonzero(present_all)
-    if kept_cells.size == 0:
-        return Relation.empty(out_schema)
-
-    columns: list[np.ndarray] = []
-    if aggregate_node.group_keys:
-        cell_indices = np.unravel_index(kept_cells, domain_sizes)
-        for vocab, codes in zip(key_vocabs, cell_indices):
-            columns.append(vocab[codes])
-    spread_columns: list[np.ndarray] = []
-    for index, spec_totals in enumerate(totals):
-        columns.append(spec_totals[present_all] / answered)
-        if report_ci:
-            spread_columns.append(moments[index].std()[present_all])
-            spread_columns.append(
-                moments[index].ci_halfwidth(CONFIDENCE_Z)[present_all]
-            )
-    columns.extend(spread_columns)
-    return Relation.from_groups(out_schema, columns)
-
-
-def _adaptive_layout_fallback(
-    query: SelectQuery,
-    config: OpenQueryConfig,
-    population_size: float,
-    rows: int,
-    plan: LogicalPlan,
-    predicate,
-    notes: list[str],
-    parallel,
-    generate_chunk,
-    first_data: Relation,
-    first_ids: np.ndarray,
-    streams,
-    generated: int,
-    cap: int,
-) -> tuple[Relation, list[str], dict]:
-    """Finish an adaptive stream whose layout is not chunk-mergeable.
-
-    The remaining repetitions generate from the same pre-spawned streams
-    and union with the first chunk — row-for-row the monolithic batch —
-    then the shared fixed-R tail runs, so the answer is bit-identical to
-    the non-adaptive batched path.
-    """
-    if generated < cap:
-        rest = generate_chunk(streams[generated:cap])
-        rest_ids = (
-            np.asarray(rest.column(REPETITION_COLUMN), dtype=np.int64) + generated
+            for tracker in self.moments
         )
-        data = first_data.concat(rest.drop_column(REPETITION_COLUMN))
-        rep_ids = np.concatenate([first_ids, rest_ids])
-    else:
-        data, rep_ids = first_data, first_ids
-    return _finish_batched(
-        query,
-        config,
-        data,
-        rep_ids,
-        cap,
-        population_size,
-        rows,
-        plan,
-        predicate,
-        notes,
-        parallel,
-    )
+
+
+def combine_composite_answers(
+    groups: _SurvivingGroups, report_ci: bool = False
+) -> Relation:
+    """Group-intersection + aggregate averaging, finished from the stream.
+
+    The streamed sibling of :func:`combine_open_answers`: per-repetition
+    answers never materialise.  A group survived iff it was present in
+    every *participating* repetition (repetitions whose generation was
+    empty inside the population view do not count, matching the reference
+    loop's dropped answers); its aggregates are the per-repetition-ordered
+    totals over the number of participating repetitions, so results are
+    bit-identical to the reference, in the same key-sorted row order.
+
+    ``report_ci`` appends per-aggregate ``{alias}__std__``/``{alias}__ci__``
+    columns (sample std of the per-repetition values across participating
+    repetitions, and the CI half-width of the reported mean) from the
+    running Welford moments.  The default ``False`` leaves the schema —
+    and every byte of the answer — unchanged.
+    """
+    aggregate_node = groups.aggregate_node
+    out_schema = _combined_schema(aggregate_node, report_ci)
+    if groups.rows.num_rows == 0:
+        return Relation.empty(out_schema)
+    columns = [groups.rows.column(name) for name in aggregate_node.key_columns]
+    columns += [totals / groups.answered for totals in groups.totals]
+    if report_ci:
+        for tracker in groups.moments:
+            columns += [tracker.std(), tracker.ci_halfwidth(CONFIDENCE_Z)]
+    return Relation.from_groups(out_schema, columns)
 
 
 def _order_combined(combined: Relation, query: SelectQuery) -> Relation:
@@ -1155,62 +818,6 @@ def _order_combined(combined: Relation, query: SelectQuery) -> Relation:
     return combined
 
 
-def combine_composite_answers(
-    relation: Relation,
-    aggregate_node: AggregateNode,
-    composite: CompositeAggregates,
-    participating: np.ndarray,
-    report_ci: bool = False,
-) -> Relation:
-    """Group-intersection + aggregate averaging, straight from composite codes.
-
-    The batched sibling of :func:`combine_open_answers`: per-repetition
-    answers never materialise.  A group survives iff it is present in
-    every *participating* repetition (repetitions whose generation was
-    empty inside the population view do not count, matching the serial
-    loop's dropped ``None`` answers); its aggregates average the per-cell
-    values repetition by repetition — the same accumulation order the
-    union-then-bincount combine performs, so results are bit-identical.
-    Group ids are key-sorted (dictionary order over the whole batch), so
-    output rows land in the same key-sorted order as the serial combine.
-
-    ``report_ci`` appends per-aggregate ``{alias}__std__``/``{alias}__ci__``
-    columns (sample std of the per-repetition values across participating
-    repetitions, and the CI half-width of the reported mean).  The default
-    ``False`` leaves the schema — and every byte of the answer — unchanged.
-    """
-    out_schema = _combined_schema(aggregate_node, report_ci)
-
-    repetition_rows = composite.present[participating]
-    kept = (
-        repetition_rows.all(axis=0)
-        if repetition_rows.shape[0]
-        else np.zeros(composite.num_groups, dtype=bool)
-    )
-    if composite.num_groups == 0 or not kept.any():
-        return Relation.empty(out_schema)
-
-    representatives = composite.first_indices[kept]
-    columns = [
-        relation.column(name)[representatives]
-        for name in aggregate_node.key_columns
-    ]
-    answered = int(participating.sum())
-    spread_columns: list[np.ndarray] = []
-    for matrix in composite.values:
-        totals = np.zeros(int(kept.sum()), dtype=np.float64)
-        # Accumulate repetition by repetition (ascending), mirroring the
-        # serial combine's bincount over rep-major union rows.
-        for repetition in np.flatnonzero(participating):
-            totals = totals + matrix[repetition][kept]
-        means = totals / answered
-        columns.append(means)
-        if report_ci:
-            spread_columns.extend(_spread_columns(matrix, participating, kept, means))
-    columns.extend(spread_columns)
-    return Relation.from_groups(out_schema, columns)
-
-
 def _combined_schema(aggregate_node: AggregateNode, report_ci: bool) -> Schema:
     """Key fields + FLOAT aggregate fields (+ std/ci pairs when opted in)."""
     key_fields = list(aggregate_node.schema.fields[: len(aggregate_node.key_columns)])
@@ -1221,22 +828,6 @@ def _combined_schema(aggregate_node: AggregateNode, report_ci: bool) -> Schema:
             fields.append(Field(f"{spec.alias}__std__", DType.FLOAT))
             fields.append(Field(f"{spec.alias}__ci__", DType.FLOAT))
     return Schema(fields)
-
-
-def _spread_columns(
-    matrix: np.ndarray,
-    participating: np.ndarray,
-    kept: np.ndarray,
-    means: np.ndarray,
-) -> list[np.ndarray]:
-    """``[std, ci]`` of one aggregate's per-repetition values per kept group."""
-    answered = int(participating.sum())
-    if answered > 1:
-        deviations = matrix[participating][:, kept] - means
-        std = np.sqrt((deviations * deviations).sum(axis=0) / (answered - 1))
-    else:
-        std = np.full(means.shape, np.inf)
-    return [std, CONFIDENCE_Z * std / np.sqrt(answered)]
 
 
 def _try_count_inference(
@@ -1291,19 +882,6 @@ def _try_count_inference(
     )
 
 
-def _repetition_streams(
-    rng: np.random.Generator, count: int
-) -> list[np.random.Generator]:
-    """``count`` independent RNG streams from a single draw on ``rng``.
-
-    Delegates to :func:`repro.generative.streams.repetition_streams` — the
-    same derivation ``generate_batch`` implementations use, which is what
-    makes the batched path, the concurrent executor, and the serial loop
-    all bit-identical.
-    """
-    return repetition_streams(rng, count)
-
-
 def combine_open_answers(answers: list[Relation], key_columns: list[str]) -> Relation:
     """Group-intersection + aggregate averaging across repeated answers.
 
@@ -1352,13 +930,17 @@ def _key_columns(query: SelectQuery, answer: Relation) -> list[str]:
     return [c for c in answer.column_names if c not in aggregate_aliases]
 
 
-def _apply_view(relation: Relation, predicate) -> tuple[Relation, float]:
+def _view_mask(relation: Relation, predicate) -> np.ndarray | None:
+    """Rows of ``relation`` inside the population view (``None``: all)."""
     if predicate is None or relation.num_rows == 0:
-        return relation, 1.0
+        return None
     bound = bind_expression(predicate, relation.schema)
-    mask = np.asarray(bound.evaluate(relation), dtype=bool)
-    kept = relation.filter(mask)
-    return kept, float(np.mean(mask))
+    return np.asarray(bound.evaluate(relation), dtype=bool)
+
+
+def _apply_view(relation: Relation, predicate) -> Relation:
+    mask = _view_mask(relation, predicate)
+    return relation if mask is None else relation.filter(mask)
 
 
 def _native(value):

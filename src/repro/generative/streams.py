@@ -1,10 +1,10 @@
-"""Per-repetition RNG streams and repetition-id tagging for batched OPEN.
+"""Per-repetition RNG streams and repetition-id tagging for OPEN execution.
 
 The OPEN path answers a query from ``repetitions`` independent generated
 samples (paper Sec. 5.3).  Whether those samples are produced one at a
-time (the serial reference loop) or as one batched ``R x n``-row relation
-(the fast path), every repetition must draw from the *same* RNG stream so
-the two executions are bit-identical:
+time (the reference loop) or as stacked ``c x n``-row chunks (the
+stream), every repetition must draw from the *same* RNG stream so the two
+executions are bit-identical:
 
 - :func:`repetition_streams` derives ``count`` independent generators from
   a single draw on the session RNG.  One ``integers`` draw seeds a root
@@ -17,8 +17,8 @@ the two executions are bit-identical:
   which the engine later composes with group codes into composite
   ``(rep, group)`` keys.
 - :func:`repetition_chunks` decomposes a repetition budget into the
-  contiguous ``[start, stop)`` ranges the adaptive streaming path
-  generates one chunk at a time.
+  contiguous ``[start, stop)`` ranges the stream generates one chunk at
+  a time.
 
 The chunked-stream contract: :class:`~numpy.random.SeedSequence` children
 depend only on their spawn index, so ``repetition_streams(rng, cap)``
@@ -52,7 +52,7 @@ def repetition_streams(
 def repetition_chunks(count: int, chunk: int) -> list[tuple[int, int]]:
     """Contiguous ``[start, stop)`` repetition ranges of at most ``chunk``.
 
-    The adaptive OPEN path walks these ranges in order, generating
+    The OPEN stream walks these ranges in order, generating
     ``streams[start:stop]`` per round; the final range may be shorter.
     """
     if count <= 0:

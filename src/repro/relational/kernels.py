@@ -799,12 +799,11 @@ def merge_composite_partials(
 class WelfordMoments:
     """Vectorized running mean/variance over per-repetition value rows.
 
-    The adaptive OPEN path feeds one ``(domain_total,)`` row per
-    *participating* repetition (a repetition's per-cell aggregate values);
+    The OPEN stream feeds one ``(cells,)`` row per *participating*
+    repetition (a repetition's aggregate value for each surviving group);
     the update is Welford's numerically stable recurrence applied to every
-    cell at once.  ``mean``/``variance`` are only meaningful for cells the
-    caller knows are present in every fed repetition — absent cells
-    accumulate the kernels' zero fill and are filtered by the caller.
+    cell at once, so a cell's moments depend on that cell's values alone
+    and :meth:`take` can drop cells between updates.
     """
 
     __slots__ = ("count", "mean", "_m2")
@@ -822,6 +821,11 @@ class WelfordMoments:
             delta = row - self.mean
             self.mean += delta / self.count
             self._m2 += delta * (row - self.mean)
+
+    def take(self, cells: np.ndarray) -> None:
+        """Keep only ``cells`` (in that order), in place."""
+        self.mean = self.mean[cells]
+        self._m2 = self._m2[cells]
 
     def variance(self) -> np.ndarray:
         """Per-cell sample variance (ddof=1); ``inf`` below two updates."""

@@ -403,8 +403,8 @@ class MosaicServer:
         return config
 
     #: HELLO "open" keys a connection may tune, with their coercions.
-    #: A whitelist, not setattr-from-JSON: generator factories, row
-    #: budgets and worker counts stay server-controlled.
+    #: A whitelist, not setattr-from-JSON: generator factories and row
+    #: budgets stay server-controlled.
     _OPEN_OPTION_FIELDS = {
         "repetitions": int,
         "tolerance": float,

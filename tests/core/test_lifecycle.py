@@ -1,10 +1,9 @@
-"""Session / Engine lifecycle: close(), shutdown(), and the OPEN pool drain."""
+"""Session / Engine lifecycle: close() and shutdown()."""
 
 import pytest
 
 from repro import MosaicDB
 from repro.catalog.metadata import Marginal
-from repro.engine.open_world import IPFSynthesizer, OpenQueryConfig
 from repro.errors import SessionClosedError
 
 
@@ -24,9 +23,6 @@ def make_db(**kwargs) -> MosaicDB:
     )
     db.ingest_rows("S", [("UK", "Yahoo")] * 60 + [("FR", "Yahoo")] * 40)
     return db
-
-
-OPEN_SQL = "SELECT OPEN country, email, COUNT(*) AS n FROM P GROUP BY country, email"
 
 
 class TestSessionClose:
@@ -70,37 +66,6 @@ class TestEngineShutdown:
             session.execute("SELECT CLOSED COUNT(*) AS n FROM S")
         with pytest.raises(SessionClosedError):
             db.engine.connect()
-
-    def test_shutdown_drains_the_open_repetition_pool(self):
-        db = make_db(
-            open_config=OpenQueryConfig(
-                generator_factory=IPFSynthesizer,
-                repetitions=4,
-                max_workers=4,
-                batched=False,
-            )
-        )
-        result = db.execute(OPEN_SQL)
-        # batched=False + max_workers=4 forces the per-repetition fan-out
-        # path, which runs on the shared engine-owned pool the shutdown
-        # must drain (the batched default never submits to the pool).
-        assert result.has_note("shared engine pool")
-        assert db.engine._open_pool is not None
-        db.engine.shutdown()
-        assert db.engine._open_pool is None
-
-    def test_shared_pool_matches_serial_execution(self):
-        serial = make_db(
-            open_config=OpenQueryConfig(
-                generator_factory=IPFSynthesizer, repetitions=4, max_workers=1
-            )
-        ).execute(OPEN_SQL)
-        pooled = make_db(
-            open_config=OpenQueryConfig(
-                generator_factory=IPFSynthesizer, repetitions=4, max_workers=4
-            )
-        ).execute(OPEN_SQL)
-        assert pooled.relation.equals(serial.relation)
 
     def test_database_context_manager(self):
         with make_db() as db:

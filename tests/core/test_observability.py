@@ -10,6 +10,7 @@ levels in-process.
 import threading
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro import MosaicDB
@@ -47,8 +48,6 @@ def build_population_db(
             generator_factory=generator_factory,
             repetitions=4,
             rows_per_generation=200,
-            max_workers=1,
-            batched=True,
             **open_kwargs,
         ),
     )
@@ -303,17 +302,25 @@ class TestExplainAnalyze:
         # The second statement is answered from the cached model: no fit.
         assert all(span["name"] != "open.fit" for span in db.execute(sql).trace["spans"])
 
-    def test_adaptive_open_explain_logs_chunk_half_widths(self):
-        db = build_population_db(
-            tolerance=0.05, min_repetitions=2, chunk_repetitions=2
-        )
+    @pytest.mark.parametrize(
+        "open_kwargs",
+        [{}, {"tolerance": 0.05, "min_repetitions": 2, "chunk_repetitions": 2}],
+        ids=["default", "tolerance"],
+    )
+    def test_open_explain_logs_chunk_half_widths(self, open_kwargs):
+        db = build_population_db(**open_kwargs)
         result = db.execute(
             "EXPLAIN ANALYZE SELECT OPEN country, email, COUNT(*) AS n "
             "FROM P GROUP BY country, email"
         )
         meta = result.trace["meta"]
         chunks = meta["open_chunks"]
-        assert chunks, "adaptive run must log per-chunk telemetry"
+        assert chunks, "every OPEN aggregate logs per-chunk telemetry"
+        if not open_kwargs:
+            # Nothing to stop on: the whole budget is one chunk, and its
+            # CI width is the answer's (four repetitions: finite).
+            assert [(c["rep_start"], c["rep_stop"]) for c in chunks] == [(0, 4)]
+            assert np.isfinite(chunks[0]["max_rel_ci_half_width"])
         for chunk in chunks:
             assert chunk["rep_stop"] > chunk["rep_start"]
             assert chunk["max_rel_ci_half_width"] is None or (

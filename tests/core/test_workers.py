@@ -83,7 +83,6 @@ def make_db(processes: int, **execution_kwargs) -> MosaicDB:
             generator_factory=IPFSynthesizer,
             repetitions=4,
             rows_per_generation=2000,
-            max_workers=1,
         ),
         execution=ExecutionConfig(
             processes=processes,

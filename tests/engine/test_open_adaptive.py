@@ -1,15 +1,15 @@
-"""Adaptive streaming OPEN execution: chunked batches + early stopping.
+"""Early stopping on the OPEN repetition stream (``tolerance > 0``).
 
-The adaptive path generates repetitions in chunks, merges decomposable
-per-(rep, group) partials into O(G) running state, and stops once every
+The stream generates repetitions in chunks, merges each chunk's
+per-(rep, group) cells into O(G) running state, and stops once every
 surviving group's CI half-width meets the relative tolerance.  Its hard
 contracts:
 
-- ``tolerance=0`` (the default) keeps today's fixed-R batched path.
-- Run to the cap, the adaptive answer is *bit-identical* to the fixed
-  batched path for every generator (the chunked-stream RNG contract:
-  repetition ``r`` always draws from stream ``r``, however the stream is
-  chunked).
+- ``tolerance=0`` (the default) generates all ``repetitions`` in one chunk.
+- Run to the cap, a chunked stream's answer is *bit-identical* to the
+  one-chunk answer for every generator and key type (the chunked-stream
+  RNG contract: repetition ``r`` always draws from stream ``r``, however
+  the stream is chunked).
 - Early stopping never fires before ``min_repetitions`` participating
   repetitions.
 - ``repetitions_used`` is deterministic under a fixed seed — in-process,
@@ -75,8 +75,6 @@ def build_db(factory=IPFSynthesizer, seed: int = 0, **open_kwargs) -> MosaicDB:
             generator_factory=factory,
             repetitions=REPETITIONS,
             rows_per_generation=GEN_ROWS,
-            max_workers=1,
-            batched=True,
             **open_kwargs,
         ),
     )
@@ -101,27 +99,30 @@ def build_db(factory=IPFSynthesizer, seed: int = 0, **open_kwargs) -> MosaicDB:
     return db
 
 
-class TestToleranceZeroKeepsFixedPath:
-    """tolerance=0 (the default) is bit-for-bit today's batched path."""
+class TestToleranceZeroIsOneChunk:
+    """tolerance=0 (the default): nothing to stop on, one chunk of R."""
 
     @pytest.mark.parametrize("name", list(GENERATOR_FACTORIES))
-    def test_default_config_stays_on_batched_path(self, name):
+    def test_default_config_runs_all_repetitions_in_one_chunk(self, name):
         result = build_db(GENERATOR_FACTORIES[name]).execute(SQL)
-        assert not result.has_note("adaptive streaming")
-        assert result.has_note("composite (rep, group) codes")
+        assert result.has_note(
+            f"streamed {REPETITIONS} of up to {REPETITIONS} repetition(s) "
+            f"in chunks of {REPETITIONS} over composite (rep, group) codes"
+        )
+        assert not result.has_note("tolerance")
         assert result.repetitions_used == REPETITIONS
 
     @pytest.mark.parametrize("name", list(GENERATOR_FACTORIES))
     def test_adaptive_run_to_cap_bit_identical_to_fixed(self, name):
-        """An adaptive stream forced to the cap (unreachable tolerance,
-        min_repetitions pinned to R) reproduces the fixed batched answer
+        """A chunked stream forced to the cap (unreachable tolerance,
+        min_repetitions pinned to R) reproduces the one-chunk answer
         exactly — chunked generation and streamed merging change nothing."""
         factory = GENERATOR_FACTORIES[name]
         fixed = build_db(factory).execute(SQL)
         adaptive = build_db(
             factory, tolerance=1e-15, min_repetitions=REPETITIONS
         ).execute(SQL)
-        assert adaptive.has_note("adaptive streaming")
+        assert adaptive.has_note("in chunks of 4")
         assert adaptive.has_note("repetition cap reached")
         assert adaptive.repetitions_used == REPETITIONS
         assert adaptive.relation.schema == fixed.relation.schema
@@ -129,7 +130,7 @@ class TestToleranceZeroKeepsFixedPath:
 
     def test_chunk_size_never_changes_the_answer(self):
         """Chunking is invisible: any chunk_repetitions yields the same
-        rows (per-repetition RNG streams, vocab-stable cell merging)."""
+        rows (per-repetition RNG streams, key-row merging)."""
         expected = build_db().execute(SQL).to_pylist()
         for chunk in (1, 3, REPETITIONS, REPETITIONS + 5):
             result = build_db(
@@ -180,8 +181,6 @@ class TestEarlyStopping:
                 generator_factory=tiny_mswg,
                 repetitions=12,
                 rows_per_generation=400,
-                max_workers=1,
-                batched=True,
                 tolerance=0.05,
             ),
         )
@@ -194,7 +193,6 @@ class TestEarlyStopping:
         result = db.execute(
             "SELECT OPEN COUNT(*) AS n, AVG(x) AS mean_x FROM Spiral"
         )
-        assert result.has_note("adaptive streaming")
         assert result.has_note("stopped early")
         assert result.repetitions_used < 12
         assert result.num_rows == 1
@@ -210,20 +208,6 @@ class TestConfidenceColumns:
         assert np.all(std > 0)
         np.testing.assert_allclose(ci, CONFIDENCE_Z * std / np.sqrt(used))
 
-    def test_welford_matches_direct_spread_at_cap(self):
-        """Two independent implementations agree: the fixed batched path
-        computes std/CI from the full per-repetition answer matrix, the
-        adaptive path from streaming Welford moments."""
-        fixed = build_db(report_ci=True).execute(SQL)
-        adaptive = build_db(
-            tolerance=1e-15, min_repetitions=REPETITIONS, report_ci=True
-        ).execute(SQL)
-        assert fixed.columns == adaptive.columns
-        for name in ("n", "n__std__", "n__ci__"):
-            np.testing.assert_allclose(
-                adaptive.column(name), fixed.column(name), rtol=1e-12
-            )
-
     def test_ci_shrinks_with_more_repetitions(self):
         few = build_db(
             tolerance=1e-15, min_repetitions=4, max_repetitions=4, report_ci=True
@@ -237,10 +221,11 @@ class TestConfidenceColumns:
         assert np.mean(many.column("n__ci__")) < np.mean(few.column("n__ci__"))
 
 
-class TestLayoutFallback:
-    """Numeric GROUP BY keys have no chunk-stable vocab cells: the stream
-    falls back to the fixed batched path — bit-identically, because the
-    remaining repetitions generate from the same pre-spawned streams."""
+class TestNumericKeys:
+    """Numeric GROUP BY keys have no vocabulary; chunks match on key rows,
+    so they stream and stop early like TEXT keys."""
+
+    SQL = "SELECT OPEN age, COUNT(*) AS n FROM People GROUP BY age"
 
     @staticmethod
     def _numeric_db(**open_kwargs):
@@ -250,8 +235,6 @@ class TestLayoutFallback:
                 generator_factory=IPFSynthesizer,
                 repetitions=6,
                 rows_per_generation=600,
-                max_workers=1,
-                batched=True,
                 **open_kwargs,
             ),
         )
@@ -270,14 +253,20 @@ class TestLayoutFallback:
         db.ingest_rows("S", [("UK", 20)] * 40 + [("FR", 30)] * 20)
         return db
 
-    def test_numeric_key_falls_back_bit_identically(self):
-        sql = "SELECT OPEN age, COUNT(*) AS n FROM People GROUP BY age"
-        fixed = self._numeric_db().execute(sql)
-        adaptive = self._numeric_db(tolerance=0.5).execute(sql)
-        assert adaptive.has_note("falling back")
-        assert adaptive.has_note("composite (rep, group) codes")
-        assert adaptive.repetitions_used == 6
-        assert adaptive.to_pylist() == fixed.to_pylist()
+    def test_numeric_key_run_to_the_cap_equals_the_fixed_answer(self):
+        fixed = self._numeric_db().execute(self.SQL)
+        capped = self._numeric_db(tolerance=1e-15).execute(self.SQL)
+        assert capped.has_note("in chunks of 4")
+        assert capped.repetitions_used == 6
+        assert capped.to_pylist() == fixed.to_pylist()
+        for name in ("age", "n"):
+            assert capped.column(name).tobytes() == fixed.column(name).tobytes()
+
+    def test_numeric_key_stops_early_on_a_generous_tolerance(self):
+        result = self._numeric_db(tolerance=0.5).execute(self.SQL)
+        assert result.has_note("stopped early")
+        assert result.repetitions_used < 6
+        assert result.num_rows == 2
 
 
 class TestOverTheWireAndWorkers:
@@ -333,7 +322,7 @@ class TestOverTheWireAndWorkers:
             server.stop_in_thread()
 
     def test_worker_pool_shards_chunks_and_cleans_up(self, monkeypatch):
-        """MOSAIC_WORKERS=2: adaptive chunks shard across the pool, the
+        """MOSAIC_WORKERS=2: stream chunks shard across the pool, the
         answer matches serial execution exactly, and shutdown leaves no
         orphaned shared-memory segments."""
         import glob
@@ -358,7 +347,7 @@ class TestOverTheWireAndWorkers:
     def test_shutdown_after_adaptive_stream_is_clean(self):
         db = build_db(tolerance=0.9)
         result = db.execute(SQL)
-        assert result.has_note("adaptive streaming")
+        assert result.has_note("stopped early")
         db.close()
         with pytest.raises(MosaicError):
             db.execute(SQL)
