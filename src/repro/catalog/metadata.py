@@ -12,6 +12,7 @@ the engine learns the population size.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -21,11 +22,59 @@ from repro.relational.groupby import group_rows
 from repro.relational.relation import Relation
 
 
+class CellIndex:
+    """A marginal's cells laid out for array matching (see ``cell_index``).
+
+    ``keys`` and ``masses`` are the cells in declared order.
+    ``axis_positions[a]`` maps each value that occurs on axis ``a`` to its
+    position there — a dict, so a lookup compares the way the cell keys
+    themselves do (``5`` finds ``5.0``, a string never finds a number, NaN
+    finds nothing).  A cell's *combined id* is its axis positions read as
+    digits, radix ``len(axis_positions[a])``; distinct keys get distinct
+    ids, and :meth:`cells` finds a cell from its positions by one
+    ``np.searchsorted`` over the sorted ids.
+    """
+
+    def __init__(self, cells: Mapping[tuple, float], ndim: int):
+        self.keys: tuple[tuple, ...] = tuple(cells)
+        self.masses = np.fromiter(cells.values(), np.float64, len(cells))
+        self.axis_positions: tuple[dict, ...] = tuple({} for _ in range(ndim))
+        digits = np.empty((ndim, len(cells)), dtype=np.int64)
+        for cell, key in enumerate(self.keys):
+            for axis, value in enumerate(key):
+                positions = self.axis_positions[axis]
+                digits[axis, cell] = positions.setdefault(value, len(positions))
+        ids = self._combined_ids(digits)
+        self._cell_of_sorted = np.argsort(ids, kind="stable")
+        self._sorted_ids = ids[self._cell_of_sorted]
+
+    def _combined_ids(self, positions: Sequence[np.ndarray]) -> np.ndarray:
+        ids = np.zeros(len(positions[0]), dtype=np.int64)
+        for on_axis, position in zip(self.axis_positions, positions):
+            ids = ids * len(on_axis) + position
+        return ids
+
+    def cells(self, positions: Sequence[np.ndarray]) -> np.ndarray:
+        """The declared cell of each combo, ``-1`` where there is none.
+
+        ``positions[a][i]`` is combo ``i``'s position on axis ``a`` as
+        ``axis_positions[a]`` gives it, ``-1`` for a value not found there.
+        """
+        ids = self._combined_ids(positions)
+        slot = np.searchsorted(self._sorted_ids, ids)
+        slot[slot == self._sorted_ids.shape[0]] = 0
+        listed = self._sorted_ids[slot] == ids
+        for position in positions:
+            listed &= position >= 0
+        return np.where(listed, self._cell_of_sorted[slot], -1)
+
+
 class Marginal:
     """A weighted histogram over one or two population attributes.
 
     ``attributes`` is a 1- or 2-tuple of column names; ``cells`` maps each
-    value (or value pair) to its reported population count.
+    value (or value pair) to its reported population count.  Immutable
+    once built, which is what lets ``cell_index`` be memoised.
     """
 
     def __init__(self, attributes: Sequence[str], cells: Mapping[tuple, float], name: str = ""):
@@ -127,6 +176,21 @@ class Marginal:
 
     def keys(self) -> Iterable[tuple]:
         return self._cells.keys()
+
+    @cached_property
+    def cell_index(self) -> CellIndex:
+        """The cells in declared order plus their combined-id lookup.
+
+        Built on first use and kept (a few arrays and dicts per marginal);
+        ``__getstate__`` drops it, so a marginal pickles the same bytes
+        into ``catalog.pkl`` and the WAL whether or not a rake has used it.
+        """
+        return CellIndex(self._cells, len(self.attributes))
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("cell_index", None)
+        return state
 
     def normalized(self) -> dict[tuple, float]:
         """Cells as probabilities (mass / total mass)."""

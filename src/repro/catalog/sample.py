@@ -28,6 +28,13 @@ class SampleRelation:
     of another, and a dropped-and-recreated sample (fresh uid) can never be
     served a predecessor's artifacts.
 
+    ``rows_stable_since`` is the version at which the stored tuples last
+    changed other than by growing at the end: :meth:`append` and the
+    weight mutators leave it alone, :meth:`replace_data` moves it up.  An
+    artifact computed per row at version ``v`` (the engine's retained
+    cell assignments) still describes rows ``[0, its length)`` exactly
+    when ``v >= rows_stable_since``.
+
     Mutators (:meth:`replace_data`, :meth:`set_weights`, …) run only under
     the engine's write lock; readers under the read lock therefore always
     observe ``relation``, ``_weights`` and ``version`` consistently — the
@@ -53,6 +60,7 @@ class SampleRelation:
         self.mechanism = mechanism
         self.uid = next(SampleRelation._uid_counter)
         self.version = 0
+        self.rows_stable_since = 0
         if initial_weights is None:
             weights = np.ones(relation.num_rows, dtype=np.float64)
         else:
@@ -98,6 +106,19 @@ class SampleRelation:
         self._validate_weights(weights, relation.num_rows)
         self.relation = relation
         self._weights = weights
+        self.bump_version()
+        self.rows_stable_since = self.version
+
+    def append(self, rows: Relation, weights: np.ndarray) -> None:
+        """Add tuples after the stored ones (validated first).
+
+        The stored tuples keep their positions, so ``rows_stable_since``
+        does not move.
+        """
+        weights = np.asarray(weights, dtype=np.float64)
+        self._validate_weights(weights, rows.num_rows)
+        self.relation = self.relation.concat(rows)
+        self._weights = np.concatenate([self._weights, weights])
         self.bump_version()
 
     def set_weights(self, weights: np.ndarray) -> None:

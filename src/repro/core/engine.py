@@ -128,6 +128,11 @@ class Engine:
         self._open_generators: VersionedLRUCache = VersionedLRUCache(
             generator_cache_size
         )
+        # Beside the reweight cache, per source: the cell assignments of its
+        # last rake, as (sample version, metadata stamp, assignments) — what
+        # the re-rake after an INSERT extends instead of rebuilding.  Memory
+        # only (8 B per row per marginal); never checkpointed.
+        self._cell_assignments: LRUCache = LRUCache(reweight_cache_size)
         # Unified metrics registry (ARCHITECTURE.md §9).  Counters use
         # lock-free per-thread shards, so concurrent SELECTs under the
         # *read* lock can never lose increments (the race the old plain
@@ -141,6 +146,14 @@ class Engine:
         self._open_adaptive_early_stops = self.metrics.counter(
             "mosaic_open_adaptive_early_stops_total",
             "Adaptive OPEN runs that met the CI tolerance before the cap",
+        )
+        self._cell_assignments_built = self.metrics.counter(
+            "mosaic_cell_assignments_built_total",
+            "Re-rakes that assigned every sample row to marginal cells",
+        )
+        self._cell_assignments_extended = self.metrics.counter(
+            "mosaic_cell_assignments_extended_total",
+            "Re-rakes that assigned only the rows appended since the last one",
         )
         for cache_name, cache in (
             ("statements", self._statement_cache),
@@ -646,11 +659,10 @@ class Engine:
 
     @staticmethod
     def _append_to_sample(sample: SampleRelation, appended: Relation) -> None:
-        new_relation = sample.relation.concat(appended)
-        new_weights = np.concatenate([sample.weights, np.ones(appended.num_rows)])
-        # replace_data validates before swapping and bumps sample.version,
-        # which invalidates exactly this sample's cached reweights/generators.
-        sample.replace_data(new_relation, new_weights)
+        # append validates before swapping and bumps sample.version, which
+        # invalidates exactly this sample's cached reweights/generators; the
+        # next SEMI-OPEN read assigns cells for these rows only.
+        sample.append(appended, np.ones(appended.num_rows))
 
     # ------------------------------------------------------------------ #
     # Durability (ARCHITECTURE.md §10; all helpers run under the write
@@ -1071,9 +1083,39 @@ class Engine:
                 f"SEMI-OPEN: reweight cache hit (sample {source.sample.name!r} "
                 f"v{source.sample.version})",
             ]
-        relation, weights, notes = reweighted_sample(source, self.catalog)
+        relation, weights, notes = self._rerake(source, key, stamp)
         self._reweight_cache.put(key, stamp, (relation, weights, list(notes)))
         return relation, weights, notes
+
+    def _rerake(self, source: PlannedSource, key: tuple, stamp: tuple):
+        """A reweight-cache miss: rake, assigning cells only for appended rows.
+
+        The assignments retained from this source's last rake are a valid
+        prefix of the sample's rows when the metadata they were matched
+        against is unchanged and the rows have only grown since
+        (``SampleRelation.rows_stable_since``); weight-only mutations keep
+        them valid.  Concurrent readers may each extend the same retained
+        tuple — it is immutable and the results are equal.
+        """
+        sample = source.sample
+        metadata_stamp = stamp[1:]
+        assignments: list = []
+        retained = self._cell_assignments.get(key)
+        if retained is not None:
+            version, retained_stamp, prefix = retained
+            if retained_stamp == metadata_stamp and version >= sample.rows_stable_since:
+                assignments = list(prefix)
+        extending = bool(assignments)
+        reweighted = reweighted_sample(source, self.catalog, assignments)
+        if assignments:
+            self._cell_assignments.put(
+                key, (sample.version, metadata_stamp, tuple(assignments))
+            )
+            if extending:
+                self._cell_assignments_extended.inc()
+            else:
+                self._cell_assignments_built.inc()
+        return reweighted
 
     def _evaluate_open(
         self,
@@ -1197,6 +1239,7 @@ class Engine:
         """
         self._open_generators.clear()
         self._reweight_cache.clear()
+        self._cell_assignments.clear()
 
     def clear_caches(self) -> None:
         """Empty all pipeline caches (plans, statements, reweights, models).
@@ -1221,6 +1264,11 @@ class Engine:
             "plans": self._plan_cache.stats(),
             "reweights": self._reweight_cache.stats(),
             "generators": self._open_generators.stats(),
+            "cell_assignments": {
+                "built": int(self._cell_assignments_built.value()),
+                "extended": int(self._cell_assignments_extended.value()),
+                "size": len(self._cell_assignments),
+            },
             # Process-wide (not per-engine): how often the storage layer
             # served a memoized/propagated dictionary encoding vs. built one.
             "dictionaries": dictionary_stats(),

@@ -19,6 +19,8 @@ and a :class:`VisibilityError` explains why.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.catalog.catalog import Catalog
@@ -26,9 +28,11 @@ from repro.engine.compiler import compile_select, execute_plan
 from repro.engine.plan import LogicalPlan
 from repro.engine.planner import PlannedSource
 from repro.errors import ReweightError, VisibilityError
+from repro.observability.trace import current_trace
 from repro.relational.relation import Relation
+from repro.reweight.contingency import CellAssignment
 from repro.reweight.inverse_probability import declared_mechanism_weights
-from repro.reweight.ipf import ipf_reweight
+from repro.reweight.ipf import IpfResult, ipf_reweight
 from repro.sql.ast_nodes import SelectQuery
 from repro.sql.binder import bind_expression
 
@@ -68,11 +72,18 @@ def evaluate_semi_open(
 def reweighted_sample(
     source: PlannedSource,
     catalog: Catalog,
+    assignments: list[CellAssignment] | None = None,
 ) -> tuple[Relation, np.ndarray, list[str]]:
     """The (possibly view-filtered) sample tuples and their debiased weights.
 
     Shared by SEMI-OPEN evaluation and by anything else that needs a
     debiased sample (e.g. Bayesian-network fitting).
+
+    ``assignments`` is :func:`~repro.reweight.ipf.ipf_reweight`'s in/out
+    list for a rake over the sample's own tuples: the engine passes the
+    cell assignments it retained from this source's previous rake (or an
+    empty list) and keeps what comes back.  A rake over a view-filtered
+    copy of the tuples, or no rake at all, leaves it as it was.
     """
     sample = source.sample
     population = source.population
@@ -108,9 +119,9 @@ def reweighted_sample(
                 f"sample {sample.name!r} has no tuples inside population "
                 f"{population.name!r}; SEMI-OPEN cannot answer (OPEN could)"
             )
-        result = ipf_reweight(
-            relation, population.marginal_list(), initial_weights=weights0
-        )
+        if relation is not sample.relation:
+            assignments = None  # view-filtered rows extend no retained prefix
+        result = _rake(relation, population.marginal_list(), weights0, assignments)
         notes.extend(view_note)
         notes.append(
             f"SEMI-OPEN: IPF against {len(population.marginals)} marginal(s) of "
@@ -122,8 +133,8 @@ def reweighted_sample(
 
     # --- 3. Metadata on the global population, view applied afterwards. ---
     if gp is not None and gp.has_metadata and gp.name != population.name:
-        result = ipf_reweight(
-            sample.relation, gp.marginal_list(), initial_weights=sample.weights
+        result = _rake(
+            sample.relation, gp.marginal_list(), sample.weights, assignments
         )
         notes.append(
             f"SEMI-OPEN: IPF against global population {gp.name!r} metadata "
@@ -143,6 +154,38 @@ def reweighted_sample(
         "marginal metadata; SEMI-OPEN queries need one of the two "
         "(CREATE METADATA ... or declare USING MECHANISM ...)"
     )
+
+
+def _rake(
+    relation: Relation,
+    marginals: list,
+    initial_weights: np.ndarray,
+    assignments: list[CellAssignment] | None,
+) -> IpfResult:
+    """IPF over ``relation``; on a traced statement, one span saying what
+    the rake cost and how it ended."""
+    rows_kept = assignments[0].row_cell.shape[0] if assignments else 0
+    trace = current_trace()
+    with (
+        trace.span("semi_open.reweight", rows=relation.num_rows)
+        if trace is not None
+        else nullcontext({})
+    ) as span:
+        result = ipf_reweight(
+            relation,
+            marginals,
+            initial_weights=initial_weights,
+            assignments=assignments,
+        )
+        span.update(
+            rows_assigned=relation.num_rows - rows_kept,
+            extended=rows_kept > 0,
+            iterations=result.iterations,
+            converged=result.converged,
+            stalled=result.stalled,
+            max_relative_error=result.max_relative_error,
+        )
+    return result
 
 
 def _apply_view(

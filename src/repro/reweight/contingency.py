@@ -52,7 +52,7 @@ class CellAssignment:
         """Current weighted mass per cell."""
         return np.bincount(self.row_cell, weights=weights, minlength=self.num_cells)
 
-    def unreachable_mass(self, weights: np.ndarray | None = None) -> float:
+    def unreachable_mass(self) -> float:
         """Marginal mass in cells with no sample rows at all.
 
         This is the mass SEMI-OPEN evaluation can never recover (it would
@@ -61,20 +61,27 @@ class CellAssignment:
         return float(np.sum(self.target_mass[~self.occupied]))
 
 
-def assign_cells(relation: Relation, marginal: Marginal) -> CellAssignment:
+def assign_cells(
+    relation: Relation, marginal: Marginal, extend: CellAssignment | None = None
+) -> CellAssignment:
     """Assign every row of ``relation`` to a cell of ``marginal``.
 
-    Sample values that do not appear in the marginal become extra cells
-    with target mass 0 (the marginal asserts those values have zero
-    population mass, so IPF drives their weights to zero).
+    Marginal cells keep their declared order.  Sample values that do not
+    appear in the marginal become extra cells with target mass 0 (the
+    marginal asserts those values have zero population mass, so IPF drives
+    their weights to zero), numbered after the marginal's own in order of
+    first appearance by row.
 
-    Vectorized over the relation's memoized dictionary encodings: each
-    attribute contributes dense per-row codes, the 1-/2-D code tuples
-    collapse to one combined id per row (ravel_multi_index semantics), and
-    only the *distinct* combined ids — a few hundred cells, not tens of
-    thousands of rows — are matched against the marginal's keys in Python.
-    Marginal cells keep their declared order; sample-only cells append in
-    first-row-appearance order, exactly as the old per-row loop produced.
+    ``extend`` is the assignment of a row prefix of ``relation`` against
+    the same marginal: only the rows after it are assigned, and its cells
+    keep their numbers.  Because sample-only cells are numbered by first
+    appearance, the result equals assigning all rows at once.
+
+    Array work is per row (one combined dictionary code each, one
+    ``np.unique``) and per distinct combo (one ``np.searchsorted``, in
+    :meth:`CellIndex.cells <repro.catalog.metadata.CellIndex.cells>`).  Python runs only over each axis'
+    distinct values, to look them up the way the marginal's keys compare,
+    and over the sample-only combos, to build their keys.
     """
     for attribute in marginal.attributes:
         if attribute not in relation.schema:
@@ -82,59 +89,84 @@ def assign_cells(relation: Relation, marginal: Marginal) -> CellAssignment:
                 f"marginal attribute {attribute!r} missing from sample columns "
                 f"{list(relation.column_names)}"
             )
-
-    key_index: dict[tuple, int] = {}
-    cell_keys: list[tuple] = []
-    masses: list[float] = []
-    for key, mass in marginal.cells():
-        key_index[key] = len(cell_keys)
-        cell_keys.append(key)
-        masses.append(mass)
-
-    n = relation.num_rows
-    if n == 0:
-        return CellAssignment(
-            cell_keys=tuple(cell_keys),
+    index = marginal.cell_index
+    if extend is None:
+        extend = CellAssignment(
+            cell_keys=index.keys,
             row_cell=np.empty(0, dtype=np.int64),
-            target_mass=np.asarray(masses, dtype=np.float64),
+            target_mass=index.masses,
         )
+    assigned = extend.row_cell.shape[0]
+    if assigned > relation.num_rows:
+        raise ReweightError(
+            f"cannot extend an assignment of {assigned} rows over a relation "
+            f"of {relation.num_rows}"
+        )
+    if assigned == relation.num_rows:
+        return extend
+    rows = relation.slice_rows(assigned, relation.num_rows)
 
-    axis_uniques: list[np.ndarray] = []
-    combined = np.zeros(n, dtype=np.int64)
+    # One combined dictionary code per row, then per distinct combo its
+    # code on each axis and, through the marginal's index, its cell.
+    axis_values: list[list] = []
+    combined = np.zeros(rows.num_rows, dtype=np.int64)
     for attribute in marginal.attributes:
-        uniques, codes = relation.dictionary(attribute)
+        uniques, codes = rows.dictionary(attribute)
         combined = combined * len(uniques) + codes
-        axis_uniques.append(uniques)
-
+        axis_values.append(uniques.tolist())
     distinct, first_rows, inverse = np.unique(
         combined, return_index=True, return_inverse=True
     )
-    cell_of_combo = np.empty(distinct.shape[0], dtype=np.int64)
-    # Walk the distinct combos in first-appearance order so sample-only
-    # cells are numbered exactly as the row-order loop numbered them.
-    for position in np.argsort(first_rows, kind="stable"):
-        combo = int(distinct[position])
-        if len(axis_uniques) == 1:
-            key = (_native(axis_uniques[0][combo]),)
-        else:
-            major, minor = divmod(combo, len(axis_uniques[1]))
-            key = (
-                _native(axis_uniques[0][major]),
-                _native(axis_uniques[1][minor]),
+    axis_codes = [distinct]
+    if len(axis_values) == 2:
+        axis_codes = list(np.divmod(distinct, len(axis_values[1])))
+    cell_of_combo = index.cells(
+        [
+            np.fromiter(
+                (positions.get(value, -1) for value in values), np.int64, len(values)
+            )[codes]
+            for positions, values, codes in zip(
+                index.axis_positions, axis_values, axis_codes
             )
-        index = key_index.get(key)
-        if index is None:
-            index = len(cell_keys)
-            key_index[key] = index
-            cell_keys.append(key)
-            masses.append(0.0)
-        cell_of_combo[position] = index
+        ]
+    )
+
+    # Sample-only combos, in order of first appearance: an earlier row's
+    # cell when the prefix already met the key, the next free number else.
+    known = {
+        _matchable(key): cell
+        for cell, key in enumerate(extend.cell_keys[len(index.keys):], len(index.keys))
+    }
+    new_keys: list[tuple] = []
+    unlisted = np.flatnonzero(cell_of_combo < 0)
+    for combo in unlisted[np.argsort(first_rows[unlisted], kind="stable")].tolist():
+        key = tuple(
+            values[codes[combo]] for values, codes in zip(axis_values, axis_codes)
+        )
+        next_cell = extend.num_cells + len(new_keys)
+        cell = known.setdefault(_matchable(key), next_cell)
+        if cell == next_cell:
+            new_keys.append(key)
+        cell_of_combo[combo] = cell
 
     return CellAssignment(
-        cell_keys=tuple(cell_keys),
-        row_cell=cell_of_combo[inverse.astype(np.int64, copy=False)],
-        target_mass=np.asarray(masses, dtype=np.float64),
+        cell_keys=extend.cell_keys + tuple(new_keys),
+        row_cell=np.concatenate([extend.row_cell, cell_of_combo[inverse]]),
+        target_mass=np.concatenate([extend.target_mass, np.zeros(len(new_keys))]),
     )
+
+
+def _matchable(key: tuple) -> tuple:
+    """``key`` with every NaN replaced by one stand-in that equals itself.
+
+    The column dictionary keeps all of a column's NaNs in one entry, so an
+    appended NaN row belongs to the cell an earlier NaN row opened — which
+    a dict probe with a fresh ``nan`` object would never find.
+    """
+    return tuple(_NAN if value != value else value for value in key)
+
+
+_NAN = object()
 
 
 class Binner:
@@ -173,8 +205,3 @@ class Binner:
         width = (self.high - self.low) / self.bins
         return self.low + width * (np.arange(self.bins) + 0.5)
 
-
-def _native(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    return value

@@ -63,6 +63,7 @@ def ipf_reweight(
     raise_on_failure: bool = False,
     stall_window: int = 8,
     stall_improvement: float = 0.01,
+    assignments: list[CellAssignment] | None = None,
 ) -> IpfResult:
     """Rake ``relation``'s tuple weights to satisfy ``marginals``.
 
@@ -91,6 +92,12 @@ def ipf_reweight(
         make raking oscillate forever at a fixed misfit floor; detecting
         the stall returns the same answer quality in a handful of passes
         instead of ``max_iterations``.  ``stall_window=0`` disables.
+    assignments:
+        In and out.  On entry either empty or, per marginal, the cell
+        assignment of a row prefix of ``relation`` (an earlier rake of the
+        same rows before more were appended): only the rows after the
+        prefix are assigned.  On return it holds this run's assignments.
+        The weights do not depend on it.
     """
     if not marginals:
         raise ReweightError("IPF needs at least one marginal")
@@ -107,10 +114,20 @@ def ipf_reweight(
                 f"sample rows {relation.num_rows}"
             )
 
-    assignments = [assign_cells(relation, marginal) for marginal in marginals]
+    priors = assignments or [None] * len(marginals)
+    if len(priors) != len(marginals):
+        raise ReweightError(
+            f"{len(priors)} prior cell assignment(s) for {len(marginals)} marginal(s)"
+        )
+    fitted = [
+        assign_cells(relation, marginal, extend=prior)
+        for marginal, prior in zip(marginals, priors)
+    ]
+    if assignments is not None:
+        assignments[:] = fitted
 
     # Rows in cells the marginals give zero mass can never carry weight.
-    for assignment in assignments:
+    for assignment in fitted:
         dead_cells = assignment.target_mass <= 0.0
         weights[dead_cells[assignment.row_cell]] = 0.0
 
@@ -120,7 +137,7 @@ def ipf_reweight(
             "the sample is disjoint from the declared population"
         )
 
-    plans = [_RakePlan(assignment) for assignment in assignments]
+    plans = [_RakePlan(assignment) for assignment in fitted]
     iterations = 0
     error = np.inf
     stalled = False
@@ -149,7 +166,7 @@ def ipf_reweight(
         iterations=iterations,
         converged=converged,
         max_relative_error=float(error),
-        unreachable_mass=tuple(a.unreachable_mass() for a in assignments),
+        unreachable_mass=tuple(a.unreachable_mass() for a in fitted),
         stalled=stalled,
     )
 

@@ -266,6 +266,40 @@ class TestExplainAnalyze:
         )
         assert execute_span["visibility"] == "SEMI-OPEN"
 
+    def test_semi_open_explain_says_what_the_rerake_did(self):
+        db = build_population_db()
+        sql = (
+            "EXPLAIN ANALYZE SELECT SEMI-OPEN country, COUNT(*) AS n "
+            "FROM P GROUP BY country"
+        )
+
+        def reweight_spans():
+            return [
+                span
+                for span in db.execute(sql).trace["spans"]
+                if span["name"] == "semi_open.reweight"
+            ]
+
+        (built,) = reweight_spans()
+        assert (built["rows"], built["rows_assigned"], built["extended"]) == (100, 100, False)
+        # The sample holds no AOL row, so M1 and M2 pull against each other:
+        # the rake stalls (stall_window + 1 passes) at a misfit floor.
+        assert (built["iterations"], built["converged"], built["stalled"]) == (9, False, True)
+        assert 0.0 < built["max_relative_error"] < 1.0
+        # Answered from the reweight cache: nothing raked, no span.
+        assert reweight_spans() == []
+        db.ingest_rows("S", [("FR", "AOL")] * 5)
+        (extended,) = reweight_spans()
+        assert (extended["rows"], extended["rows_assigned"], extended["extended"]) == (
+            105, 5, True,
+        )
+        assert db.cache_stats()["cell_assignments"] == {
+            "built": 1, "extended": 1, "size": 1,
+        }
+        # Span and counters only: the notes are pickled with the weights.
+        notes = " ".join(db.execute(sql.removeprefix("EXPLAIN ANALYZE ")).notes)
+        assert "assign" not in notes and "extend" not in notes
+
     def test_open_explain_records_generator_and_stop_reason(self):
         db = build_population_db()
         result = db.execute(

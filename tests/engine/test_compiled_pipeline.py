@@ -11,6 +11,11 @@ Covers the acceptance contract of the compiled-pipeline refactor:
   while mutations of one sample leave unrelated samples' artifacts cached.
 """
 
+import os
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,7 +23,7 @@ from repro import MosaicDB
 from repro.catalog.metadata import Marginal
 from repro.engine.compiler import compile_select, execute_plan
 from repro.engine.open_world import IPFSynthesizer, OpenQueryConfig
-from repro.errors import SchemaError
+from repro.errors import MosaicError, SchemaError
 from repro.relational.relation import Relation
 from repro.sql.parser import parse_statement
 
@@ -275,3 +280,323 @@ class TestPerKeyInvalidation:
         # Fresh sample uid: the predecessor's cached reweight is unreachable.
         assert not after.has_note("reweight cache hit")
         assert not after.relation.equals(before.relation)
+
+
+def answer_bytes(result) -> list:
+    """A result's columns, exact: numeric buffers as bytes, TEXT as lists."""
+    columns = []
+    for name in result.relation.column_names:
+        column = result.relation.column(name)
+        columns.append(
+            (name, column.tolist() if column.dtype == object else column.tobytes())
+        )
+    return columns
+
+
+def cached_weight_bytes(db) -> list[bytes]:
+    """The cached debiased weights of every sample still in the catalog."""
+    live = {sample.uid for sample in db.engine.catalog._samples.values()}
+    return [
+        np.ascontiguousarray(weights).tobytes()
+        for (_, sample_uid), _, (_, weights, _) in db.engine._reweight_cache.snapshot()
+        if sample_uid in live
+    ]
+
+
+def loaded_afresh(live, ddl: str, populations, samples):
+    """A new engine holding ``live``'s final state, loaded in one go: the
+    same marginals in the same order (copies: nothing memoised on them
+    crosses over), each sample's final rows as one ingest, its weights."""
+    fresh = MosaicDB(seed=0)
+    fresh.execute_script(ddl)
+    for population in populations:
+        marginals = live.engine.catalog.population(population).marginals
+        for name, marginal in marginals.items():
+            fresh.register_marginal(
+                name, population, pickle.loads(pickle.dumps(marginal))
+            )
+    for sample in samples:
+        stored = live.engine.catalog.sample(sample)
+        names = stored.relation.column_names
+        fresh.ingest_rows(
+            sample, [tuple(row[n] for n in names) for row in stored.relation.to_pylist()]
+        )
+        fresh.engine.catalog.sample(sample).set_weights(stored.weights)
+    return fresh
+
+
+class TestRetainedCellAssignments:
+    """The re-rake after an INSERT assigns cells for the appended rows only
+    (ARCHITECTURE §3).  Whatever happened before, the SEMI-OPEN answer and
+    the cached weights must be, byte for byte, those of an engine that was
+    handed the same final rows at once."""
+
+    DDL = """
+        CREATE GLOBAL POPULATION Pop (region TEXT, brand TEXT, size INT);
+        CREATE SAMPLE S AS (SELECT * FROM Pop);
+    """
+    READS = (
+        "SELECT SEMI-OPEN region, COUNT(*) AS n, AVG(size) AS s FROM Pop GROUP BY region",
+        "SELECT SEMI-OPEN brand, size, COUNT(*) AS n FROM Pop GROUP BY brand, size",
+    )
+    ROWS = (
+        [("N", "a", 1)] * 30 + [("S", "a", 2)] * 8 + [("S", "b", 1)] * 7
+        + [("E", "c", 3)] * 5  # region E and brand c: in no marginal
+    )
+    # New cells, listed and sample-only, that only later INSERTs bring.
+    LATER = [("S", "b", 2), ("W", "a", 2), ("N", "d", 4), ("W", "d", 1), ("S", "a", 1)]
+
+    def make(self, **db_kwargs):
+        db = MosaicDB(seed=0, **db_kwargs)
+        db.execute_script(self.DDL)
+        db.register_marginal(
+            "Pop_region", "Pop",
+            Marginal(["region"], {("N",): 600, ("S",): 300, ("W",): 100}),
+        )
+        db.register_marginal(
+            "Pop_brand_size", "Pop",
+            Marginal(
+                ["brand", "size"],
+                {("a", 1): 400, ("a", 2): 200, ("b", 1.0): 150, ("b", 2): 150,
+                 ("d", 1): 100, ("zz", 9): 0},
+            ),
+        )
+        return db
+
+    def insert(self, db, rows):
+        values = ", ".join(f"('{r}', '{b}', {s})" for r, b, s in rows)
+        db.execute(f"INSERT INTO S VALUES {values}")
+
+    def read(self, db):
+        return [answer_bytes(db.execute(sql)) for sql in self.READS]
+
+    def assert_equals_fresh_load(self, db):
+        fresh = loaded_afresh(db, self.DDL, ("Pop",), ("S",))
+        assert self.read(db) == self.read(fresh)
+        assert cached_weight_bytes(db) == cached_weight_bytes(fresh)
+
+    def test_inserts_extend_and_match_a_fresh_load(self):
+        db = self.make()
+        db.ingest_rows("S", self.ROWS)
+        self.read(db)
+        for position in range(len(self.LATER)):
+            self.insert(db, self.LATER[position : position + 2] * 3)
+            self.read(db)
+        stats = db.cache_stats()["cell_assignments"]
+        assert stats == {"built": 1, "extended": len(self.LATER), "size": 1}
+        self.assert_equals_fresh_load(db)
+
+    def test_ingest_relation_extends_like_insert(self):
+        db = self.make()
+        db.ingest_rows("S", self.ROWS)
+        self.read(db)
+        db.ingest_relation(
+            "S",
+            Relation.from_dict(
+                {"size": [2, 4], "region": ["W", "N"], "brand": ["a", "d"]}
+            ),
+        )
+        self.read(db)
+        assert db.cache_stats()["cell_assignments"]["extended"] == 1
+        self.assert_equals_fresh_load(db)
+
+    def test_weight_updates_keep_the_retained_prefix(self):
+        db = self.make()
+        db.ingest_rows("S", self.ROWS)
+        self.read(db)
+        db.execute("UPDATE SAMPLE S SET WEIGHT = 3 WHERE brand = 'a'")
+        self.read(db)
+        self.insert(db, self.LATER)
+        db.execute("UPDATE SAMPLE S SET WEIGHT = 0.5 WHERE region = 'W'")
+        self.read(db)
+        # Neither UPDATE moved a row: every miss after the first extended.
+        assert db.cache_stats()["cell_assignments"]["built"] == 1
+        assert db.cache_stats()["cell_assignments"]["extended"] == 2
+        self.assert_equals_fresh_load(db)
+
+    def test_metadata_changes_start_over(self):
+        db = self.make()
+        db.ingest_rows("S", self.ROWS)
+        self.read(db)
+        db.register_marginal(
+            "Pop_size", "Pop", Marginal(["size"], {(1,): 500, (2,): 400, (4,): 100})
+        )
+        self.insert(db, self.LATER)
+        self.read(db)
+        db.execute("DROP METADATA Pop_region")
+        self.insert(db, self.LATER[:2])
+        self.read(db)
+        # Three marginal sets, three from-scratch assignments.
+        assert db.cache_stats()["cell_assignments"]["built"] == 3
+        assert db.cache_stats()["cell_assignments"]["extended"] == 0
+        self.insert(db, self.LATER[2:])
+        self.read(db)
+        assert db.cache_stats()["cell_assignments"]["extended"] == 1
+        self.assert_equals_fresh_load(db)
+
+    def test_dropped_and_recreated_sample_starts_over(self):
+        db = self.make()
+        db.ingest_rows("S", self.ROWS)
+        self.read(db)
+        db.execute("DROP SAMPLE S")
+        db.execute("CREATE SAMPLE S AS (SELECT * FROM Pop)")
+        # Same name, same length, other rows: a stale prefix would fit.
+        db.ingest_rows("S", list(reversed(self.ROWS)))
+        self.read(db)
+        self.insert(db, self.LATER)
+        self.read(db)
+        self.assert_equals_fresh_load(db)
+
+    def test_first_ingest_into_an_empty_sample(self):
+        db = self.make()
+        with pytest.raises(MosaicError):
+            db.execute(self.READS[0])  # nothing to rake yet
+        db.ingest_rows("S", self.ROWS)  # SampleRelation.replace_data
+        self.read(db)
+        self.insert(db, self.LATER)
+        self.read(db)
+        assert db.cache_stats()["cell_assignments"] == {
+            "built": 1, "extended": 1, "size": 1,
+        }
+        self.assert_equals_fresh_load(db)
+
+    def test_replaced_rows_invalidate_the_prefix(self):
+        db = self.make()
+        db.ingest_rows("S", self.ROWS)
+        self.read(db)
+        sample = db.engine.catalog.sample("S")
+        reordered = sample.relation.take(np.arange(sample.num_rows)[::-1])
+        sample.replace_data(reordered, np.ones(reordered.num_rows))
+        assert sample.rows_stable_since == sample.version
+        self.insert(db, self.LATER)  # an append on top: version moves on alone
+        assert sample.rows_stable_since == sample.version - 1
+        self.read(db)
+        assert db.cache_stats()["cell_assignments"]["extended"] == 0
+        self.assert_equals_fresh_load(db)
+
+    def test_checkpoint_close_reopen_then_insert(self, tmp_path):
+        db = self.make(data_dir=str(tmp_path))
+        db.ingest_rows("S", self.ROWS)
+        self.read(db)
+        self.insert(db, self.LATER[:2])
+        self.read(db)
+        db.checkpoint()
+        db.close()
+        db = MosaicDB(seed=0, data_dir=str(tmp_path))
+        try:
+            assert db.execute(self.READS[0]).has_note("reweight cache hit")
+            self.insert(db, self.LATER[2:])
+            self.read(db)
+            self.insert(db, self.LATER[:1])
+            self.read(db)
+            # Nothing was restored to extend: one scratch assignment, then on.
+            assert db.cache_stats()["cell_assignments"] == {
+                "built": 1, "extended": 1, "size": 1,
+            }
+            self.assert_equals_fresh_load(db)
+        finally:
+            db.close()
+
+    def test_nothing_retained_reaches_a_checkpoint(self, tmp_path):
+        def checkpoint_files(db):
+            directory = os.path.join(str(tmp_path), db.checkpoint()["checkpoint"])
+            return {
+                name: open(os.path.join(directory, name), "rb").read()
+                for name in ("catalog.pkl", "models.pkl")
+            }
+
+        db = self.make(data_dir=str(tmp_path))
+        try:
+            db.ingest_rows("S", self.ROWS)
+            before = checkpoint_files(db)
+            self.read(db)
+            self.read(db)
+            after = checkpoint_files(db)
+            # The marginals pickle into catalog.pkl; the reads memoised an
+            # index on each and the file did not grow by a byte.
+            assert len(after["catalog.pkl"]) == len(before["catalog.pkl"])
+            assert len(after["models.pkl"]) > len(before["models.pkl"])  # the rake
+            for payload in after.values():
+                assert b"CellAssignment" not in payload
+                assert b"cell_index" not in payload
+                assert b"CellIndex" not in payload
+        finally:
+            db.close()
+
+    VIEW_DDL = """
+        CREATE GLOBAL POPULATION Pop (region TEXT, brand TEXT, size INT);
+        CREATE POPULATION North AS (SELECT * FROM Pop WHERE region = 'N');
+        CREATE POPULATION Small AS (SELECT * FROM Pop WHERE size < 3);
+        CREATE SAMPLE S AS (SELECT * FROM Pop);
+    """
+
+    def test_view_populations(self):
+        """``Small`` has no metadata of its own: the rake runs over the whole
+        sample against Pop's marginals (retained, extended) and the view
+        applies afterwards.  ``North`` has: the rake runs over the filtered
+        rows, from scratch every time, retaining nothing."""
+        db = self.make()
+        db.execute_script(
+            """
+            CREATE POPULATION North AS (SELECT * FROM Pop WHERE region = 'N');
+            CREATE POPULATION Small AS (SELECT * FROM Pop WHERE size < 3);
+            """
+        )
+        db.register_marginal(
+            "North_brand", "North", Marginal(["brand"], {("a",): 450, ("d",): 150})
+        )
+        reads = [
+            "SELECT SEMI-OPEN brand, COUNT(*) AS n FROM North GROUP BY brand",
+            "SELECT SEMI-OPEN region, COUNT(*) AS n, AVG(size) AS s FROM Small GROUP BY region",
+        ]
+        db.ingest_rows("S", self.ROWS)
+        for _ in range(2):
+            for sql in reads:
+                db.execute(sql)
+            self.insert(db, self.LATER)
+        live = [answer_bytes(db.execute(sql)) for sql in reads]
+        assert db.cache_stats()["cell_assignments"] == {
+            "built": 1, "extended": 2, "size": 1,
+        }
+        fresh = loaded_afresh(db, self.VIEW_DDL, ("Pop", "North"), ("S",))
+        assert live == [answer_bytes(fresh.execute(sql)) for sql in reads]
+        assert cached_weight_bytes(db) == cached_weight_bytes(fresh)
+
+    def test_eight_sessions_race_the_first_read_after_an_insert(self):
+        db = self.make()
+        db.ingest_rows("S", self.ROWS * 40)
+        self.read(db)
+        self.insert(db, self.LATER * 20)
+        sessions = [db.connect() for _ in range(8)]
+        barrier = threading.Barrier(len(sessions))
+        answers: list = [None] * len(sessions)
+
+        def first_read(slot):
+            barrier.wait(timeout=30)
+            answers[slot] = (
+                answer_bytes(sessions[slot].execute(self.READS[0])),
+                cached_weight_bytes(db),
+            )
+
+        threads = [
+            threading.Thread(target=first_read, args=(slot,))
+            for slot in range(len(sessions))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        fresh = loaded_afresh(db, self.DDL, ("Pop",), ("S",))
+        expected = (
+            answer_bytes(fresh.execute(self.READS[0])),
+            cached_weight_bytes(fresh),
+        )
+        assert answers == [expected] * len(sessions)
+        stats = db.cache_stats()["cell_assignments"]
+        assert stats["built"] == 1 and stats["extended"] >= 1 and stats["size"] == 1
