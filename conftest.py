@@ -11,17 +11,15 @@ this avoids the extra dependency.)
 Local runs are unaffected unless the variable is exported.
 
 The shared-memory leak check compares the ``mosaic-shm-*`` segments in
-``/dev/shm`` before and after the whole run: the morsel-execution layer
-(``repro.relational.shm``) must unlink every segment it creates, whether
-through ``Engine.shutdown()``, store eviction, or the ``ParallelExecution``
-finalizer.  A leaked segment survives the process and eats tmpfs until
-reboot, so it fails the suite loudly.
+``/dev/shm`` before and after the whole run: every segment
+``repro.relational.shm.share_relation`` creates must be unlinked by the
+release of its last handle.  A leaked segment survives the process and
+eats tmpfs until reboot, so it fails the suite loudly.
 """
 
 from __future__ import annotations
 
 import faulthandler
-import gc
 import os
 import shutil
 import sys
@@ -48,13 +46,10 @@ def _no_leaked_shm_segments():
     """Fail the run if any test leaks a mosaic shared-memory segment."""
     before = _mosaic_segments()
     yield
-    # Engines dropped without shutdown() release their segments via a
-    # weakref finalizer — give the collector a chance to run it first.
-    gc.collect()
     leaked = _mosaic_segments() - before
     assert not leaked, (
         f"leaked shared-memory segments in {_SHM_DIR}: {sorted(leaked)}; "
-        "some Engine/ParallelExecution was not shut down"
+        "some shared segment handle was never released"
     )
 
 

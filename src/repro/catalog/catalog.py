@@ -87,13 +87,6 @@ class Catalog:
         self._auxiliary[name] = relation
         self._auxiliary_versions[name] += 1
 
-    def auxiliary_version(self, name: str) -> int:
-        """Monotonic data version of an auxiliary table (bumps on replace)."""
-        version = self._auxiliary_versions.get(name)
-        if version is None:
-            raise UnknownRelationError(name)
-        return version
-
     def auxiliary(self, name: str) -> Relation:
         relation = self._auxiliary.get(name)
         if relation is None:

@@ -36,7 +36,6 @@ import numpy as np
 from repro.catalog.metadata import Marginal
 from repro.core.engine import Engine
 from repro.core.result import QueryResult
-from repro.core.workers import ExecutionConfig
 from repro.core.session import Session, SessionConfig
 from repro.core.visibility import Visibility
 from repro.engine.open_world import OpenQueryConfig
@@ -59,7 +58,6 @@ class MosaicDB:
         default_visibility: Visibility = Visibility.SEMI_OPEN,
         open_config: OpenQueryConfig | None = None,
         combine_samples: bool = False,
-        execution: ExecutionConfig | None = None,
         data_dir: str | None = None,
     ):
         config = SessionConfig(
@@ -75,7 +73,6 @@ class MosaicDB:
             plan_cache_size=config.plan_cache_size,
             reweight_cache_size=config.reweight_cache_size,
             generator_cache_size=config.generator_cache_size,
-            execution=execution,
             data_dir=data_dir,
         )
         self.session = self.engine.root_session(config)

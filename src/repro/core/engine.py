@@ -44,7 +44,6 @@ from repro.core.caches import LRUCache, VersionedLRUCache
 from repro.core.locks import ReadWriteLock
 from repro.core.result import QueryResult
 from repro.core.visibility import Visibility
-from repro.core.workers import ExecutionConfig, ParallelExecution
 from repro.engine.closed import closed_source, evaluate_closed
 from repro.engine.compiler import (
     compile_select,
@@ -86,6 +85,25 @@ from repro.sql.binder import bind_expression, require_column
 from repro.sql.parser import parse_script, parse_statement
 from repro.storage.store import DurableStore
 
+#: Keys of ``cache_stats()["execution"]``, always 0: scans run serially
+#: in-process, and the STATS schema is append-only, so every key a reader
+#: may look up stays.
+EXECUTION_STATS_KEYS = (
+    "workers",
+    "worker_restarts",
+    "parallel_batches",
+    "local_batches",
+    "tasks_dispatched",
+    "plan_fallbacks",
+    "pool_busy",
+    "worker_crashes",
+    "segments_shared",
+    "segment_reuses",
+    "segment_evictions",
+    "segment_mmap_leases",
+    "live_segments",
+)
+
 if TYPE_CHECKING:  # circular at runtime: session imports engine for typing only
     from repro.core.session import Session, SessionConfig
 
@@ -100,7 +118,6 @@ class Engine:
         plan_cache_size: int = 256,
         reweight_cache_size: int = 64,
         generator_cache_size: int = 32,
-        execution: ExecutionConfig | None = None,
         data_dir: str | os.PathLike | None = None,
         wal_sync: bool = False,
     ):
@@ -173,12 +190,6 @@ class Engine:
             "DDL counter (bumps on every catalog mutation)",
             fn=lambda: self.catalog.version,
         )
-        # Morsel-driven multi-process execution (ARCHITECTURE.md §7): the
-        # context owns the worker pool and the shared-memory segment store.
-        # With processes=0 (the default unless MOSAIC_WORKERS is set) no
-        # processes ever start, but large scans still take the morsel
-        # path, so answers are bit-identical across worker counts.
-        self._execution = ParallelExecution(execution, registry=self.metrics)
         self._closed = False
         # Durable storage (ARCHITECTURE.md §10): with a data_dir the engine
         # restores the catalog + fitted models from the last checkpoint and
@@ -204,13 +215,8 @@ class Engine:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def execution(self) -> ParallelExecution:
-        """The engine's parallel execution context (pool + segment store)."""
-        return self._execution
-
     def shutdown(self) -> None:
-        """Shut the engine down: fence, stop the workers, flush.
+        """Shut the engine down: fence, then flush.
 
         Idempotent.  In-flight statements complete: the fence is raised
         under the engine's *write* lock, so every statement already past
@@ -221,10 +227,6 @@ class Engine:
         """
         with self._lock.write_locked():
             self._closed = True
-        # After the fence: no statement can reach the worker pool or lease
-        # a segment, so stopping the workers and unlinking every shared
-        # segment here is race-free (and idempotent).
-        self._execution.shutdown()
         # Final durable flush: one last checkpoint persists every model
         # fitted this run and leaves an empty WAL, so the next boot is a
         # pure O(1) mmap restore with nothing to replay.
@@ -466,8 +468,8 @@ class Engine:
     ) -> QueryResult:
         # The closed check runs *under* the statement's lock: shutdown()
         # raises the fence under the write lock, so a statement either
-        # observes the fence here or runs to completion before the OPEN
-        # pool drains — never a torn teardown mid-statement.
+        # observes the fence here or runs to completion before the final
+        # checkpoint — never a torn teardown mid-statement.
         if isinstance(statement, SelectQuery):
             with self._lock.read_locked():
                 self._check_open()
@@ -800,16 +802,7 @@ class Engine:
                 if trace is not None
                 else nullcontext({})
             ) as span:
-                relation = execute_plan(
-                    plan,
-                    auxiliary,
-                    parallel=self._execution,
-                    share_key=(
-                        "aux",
-                        query.table,
-                        self.catalog.auxiliary_version(query.table),
-                    ),
-                )
+                relation = execute_plan(plan, auxiliary)
                 span["rows"] = relation.num_rows
             return QueryResult(
                 relation, visibility=str(Visibility.CLOSED), notes=(plan_note,)
@@ -913,13 +906,7 @@ class Engine:
             if trace is not None
             else nullcontext({})
         ) as span:
-            relation = execute_plan(
-                plan,
-                sample.relation,
-                weights,
-                parallel=self._execution,
-                share_key=("sample", sample.uid, sample.version, weights is not None),
-            )
+            relation = execute_plan(plan, sample.relation, weights)
             span["rows"] = relation.num_rows
         return QueryResult(
             relation,
@@ -957,13 +944,7 @@ class Engine:
             else nullcontext({})
         ) as span:
             if visibility is Visibility.CLOSED:
-                relation, notes = evaluate_closed(
-                    query,
-                    source,
-                    plan,
-                    parallel=self._execution,
-                    share_key=self._source_share_key("closed", source),
-                )
+                relation, notes = evaluate_closed(query, source, plan)
             elif visibility is Visibility.SEMI_OPEN:
                 relation, notes = evaluate_semi_open(
                     query,
@@ -971,8 +952,6 @@ class Engine:
                     self.catalog,
                     plan,
                     self._cached_reweight(source),
-                    parallel=self._execution,
-                    share_key=self._source_share_key("semiopen", source),
                 )
             else:
                 relation, notes, meta = self._evaluate_open(
@@ -995,27 +974,6 @@ class Engine:
             notes=tuple(notes),
             repetitions_used=repetitions_used,
         )
-
-    def _source_share_key(
-        self, path: str, source: PlannedSource
-    ) -> tuple | None:
-        """Stable shared-memory identity for a planned source's input data.
-
-        The derived relation handed to ``execute_plan`` (view-filtered
-        CLOSED tuples, reweighted SEMI-OPEN tuples) is a fresh object per
-        query, so identity-keyed segment leases never hit.  These keys name
-        the *content* instead: the CLOSED input changes only with the
-        sample's data version; the SEMI-OPEN input additionally changes
-        with the metadata the reweight was fitted against — exactly the
-        reweight cache's version stamp.  Synthetic sample unions have no
-        stable identity and fall back to id-keying (``None``).
-        """
-        identity = source.cache_identity()
-        if identity is None:
-            return None
-        if path == "closed":
-            return ("closed", *identity, source.sample.version)
-        return ("semiopen", *identity, *source.version_stamp(self.catalog))
 
     def _compiled_plan(
         self,
@@ -1180,7 +1138,6 @@ class Engine:
             population_size=size,
             rng=session.rng,
             plan=plan,
-            parallel=self._execution,
         )
         if cache_note is not None:
             notes.insert(0, cache_note)
@@ -1272,9 +1229,7 @@ class Engine:
             # Process-wide (not per-engine): how often the storage layer
             # served a memoized/propagated dictionary encoding vs. built one.
             "dictionaries": dictionary_stats(),
-            # Morsel/worker-pool counters (parallel vs. local batches,
-            # shared-segment reuse, crash restarts) — see workers.py.
-            "execution": self._execution.stats(),
+            "execution": dict.fromkeys(EXECUTION_STATS_KEYS, 0),
             "open_adaptive": {
                 "runs": int(self._open_adaptive_runs.value()),
                 "early_stops": int(self._open_adaptive_early_stops.value()),

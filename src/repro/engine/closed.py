@@ -34,22 +34,15 @@ def evaluate_closed(
     query: SelectQuery,
     source: PlannedSource,
     plan: LogicalPlan | None = None,
-    *,
-    parallel=None,
-    share_key: tuple | None = None,
 ) -> tuple[Relation, list[str]]:
     """Answer ``query`` from the raw sample tuples.
 
     ``plan`` is the compiled form of ``query`` over the sample's schema —
     passed in by :class:`~repro.core.database.MosaicDB` on plan-cache hits,
-    compiled here otherwise.  ``parallel`` is the engine's
-    :class:`~repro.core.workers.ParallelExecution` context (morsel-driven
-    multi-process scans for large samples); ``share_key`` its stable
-    shared-memory identity for the view-filtered source (derivable from
-    catalog versions, so segments are reused across queries).  Returns the
-    result relation plus human-readable notes about what the engine did.
+    compiled here otherwise.  Returns the result relation plus
+    human-readable notes about what the engine did.
     """
     relation, notes = closed_source(source)
     if plan is None:
         plan = compile_select(query, relation.schema, weighted=False)
-    return execute_plan(plan, relation, parallel=parallel, share_key=share_key), notes
+    return execute_plan(plan, relation), notes

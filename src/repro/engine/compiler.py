@@ -35,13 +35,8 @@ from repro.relational.dtypes import DType
 from repro.relational.expressions import ColumnRef, Expr, validate_expression
 from repro.relational.kernels import (
     CompositeAggregates,
-    composite_aggregate_partial,
-    encoded_group_domain,
-    finalize_grouped_partials,
     grouped_aggregate,
     grouped_aggregate_composite,
-    grouped_aggregate_partial,
-    merge_grouped_partials,
 )
 from repro.relational.ops import distinct as distinct_op
 from repro.relational.ops import project_expressions
@@ -176,32 +171,14 @@ def execute_plan(
     plan: LogicalPlan,
     relation: Relation,
     weights: np.ndarray | None = None,
-    *,
-    parallel=None,
-    share_key: tuple | None = None,
 ) -> Relation:
     """Run ``plan`` over ``relation`` (the implicit Scan input).
 
     The relation's schema must equal the schema the plan was compiled
     against — the invariant that makes cached plans safe to reuse.
-
-    ``parallel`` is an execution context (duck-typed; see
-    :class:`repro.core.workers.ParallelExecution`).  When supplied and the
-    relation exceeds the context's morsel threshold, decomposable aggregate
-    plans run morsel-partitioned: the scan splits into fixed row ranges,
-    each morsel reduces to mergeable partials, and the partials merge in
-    morsel order.  Crucially the *decomposition is a function of the data
-    and the threshold only* — a context with zero worker processes runs the
-    identical morsel loop in-process — so results never depend on how many
-    workers (if any) executed the morsels.  They *are* a function of the
-    threshold itself: float SUM/AVG partials accumulate per-morsel and
-    merge in morsel order, which can differ in the last ulp from the
-    single-pass kernels (so changing ``MOSAIC_MORSEL_ROWS``, or comparing
-    against a run without a parallel context, is a numerics-affecting
-    configuration change — see ARCHITECTURE.md §7).  Plans the morsel
-    path cannot decompose (projections, numeric/unencoded group keys,
-    degenerate key domains) fall back to the dense single-pass kernels
-    below.
+    Execution is one serial pass whatever the relation's size: the
+    aggregate kernels reduce every selected row in row order, so an
+    answer depends on the data and the plan alone.
     """
     if relation.schema != plan.source_schema:
         raise SchemaError(
@@ -214,13 +191,6 @@ def execute_plan(
             f"{'weighted' if plan.weighted else 'unweighted'} but executed "
             f"{'with' if weights is not None else 'without'} weights"
         )
-    if parallel is not None and relation.num_rows > parallel.morsel_rows:
-        layout = partition_layout(plan, relation)
-        if layout is not None:
-            return _execute_plan_partitioned(
-                plan, relation, weights, parallel, layout, share_key
-            )
-        parallel.note_fallback()
     # Filters never materialise: each FilterNode evaluates to a boolean
     # mask that ANDs into a single selection vector.  The selection is
     # consumed exactly once — Project materialises the surviving rows (one
@@ -342,132 +312,6 @@ def execute_plan_composite(
 
 
 # --------------------------------------------------------------------- #
-# Morsel-partitioned execution (multi-process scan parallelism)
-# --------------------------------------------------------------------- #
-
-#: Hard ceiling on the group-key cell domain a partitioned plan may use.
-#: The partials allocate O(cells) per spec per morsel; a vocab cross-product
-#: far beyond the row count signals a degenerate key combination where the
-#: dense in-process kernels are the better plan anyway.
-MAX_PARTITION_CELLS = 1 << 22
-
-
-def partition_layout(
-    plan: LogicalPlan, relation: Relation
-) -> tuple[AggregateNode, tuple, tuple[int, ...], int] | None:
-    """Can ``plan`` run as mergeable morsel partials over ``relation``?
-
-    Decomposable shape: optional filters, one aggregate, optional sort /
-    limit tail — and every GROUP BY key must carry a storage encoding so
-    cell ids mean the same key values in every morsel (see
-    :func:`~repro.relational.kernels.encoded_group_domain`).  Returns
-    ``(aggregate, tail_nodes, domain_sizes, total_cells)`` or ``None``.
-    """
-    aggregate: AggregateNode | None = None
-    tail: list = []
-    for node in plan.nodes:
-        if isinstance(node, FilterNode) and aggregate is None:
-            continue
-        if isinstance(node, AggregateNode) and aggregate is None:
-            aggregate = node
-        elif isinstance(node, (SortNode, LimitNode)) and aggregate is not None:
-            tail.append(node)
-        else:
-            return None
-    if aggregate is None:
-        return None
-    domain = encoded_group_domain(relation, aggregate.group_keys)
-    if domain is None:
-        return None
-    sizes, total = domain
-    if total > min(MAX_PARTITION_CELLS, max(1 << 16, 8 * relation.num_rows)):
-        return None
-    return aggregate, tuple(tail), sizes, total
-
-
-def morsel_ranges(num_rows: int, morsel_rows: int) -> list[tuple[int, int]]:
-    """The fixed morsel decomposition of ``num_rows`` (pure function)."""
-    step = max(1, morsel_rows)
-    return [(start, min(start + step, num_rows)) for start in range(0, num_rows, step)]
-
-
-def execute_plan_morsel(
-    plan: LogicalPlan,
-    relation: Relation,
-    start: int,
-    stop: int,
-    weights: np.ndarray | None,
-    domain_sizes: tuple[int, ...],
-    total_cells: int,
-    row_offset: int | None = None,
-) -> dict:
-    """One morsel's plan fragment: filters + partial aggregation.
-
-    The single fragment executor both the in-process morsel loop and the
-    worker processes run — same code, same inputs, same partial out.
-    ``row_offset`` is the morsel's global first-row index when ``relation``
-    is already a window onto the full relation (worker-side windowed
-    attach): representative row ids must stay global because the parent
-    finalizes against the whole relation.  ``None`` means ``relation`` is
-    the full relation and ``start`` is the global offset.
-    """
-    morsel = relation.slice_rows(start, stop)
-    selection: np.ndarray | None = None
-    aggregate: AggregateNode | None = None
-    for node in plan.nodes:
-        if isinstance(node, FilterNode):
-            mask = np.asarray(node.predicate.evaluate(morsel), dtype=bool)
-            selection = mask if selection is None else selection & mask
-        elif isinstance(node, AggregateNode):
-            aggregate = node
-            break
-    assert aggregate is not None  # guaranteed by partition_layout
-    morsel_weights = None if weights is None else weights[start:stop]
-    return grouped_aggregate_partial(
-        morsel,
-        aggregate.group_keys,
-        aggregate.specs,
-        domain_sizes,
-        total_cells,
-        morsel_weights,
-        selection,
-        start if row_offset is None else row_offset,
-    )
-
-
-def _execute_plan_partitioned(
-    plan: LogicalPlan,
-    relation: Relation,
-    weights: np.ndarray | None,
-    parallel,
-    layout: tuple[AggregateNode, tuple, tuple[int, ...], int],
-    share_key: tuple | None = None,
-) -> Relation:
-    """Morsel-partitioned execution: partition, map, merge, finalize, tail."""
-    aggregate, tail, domain_sizes, total_cells = layout
-    ranges = morsel_ranges(relation.num_rows, parallel.morsel_rows)
-    partials = parallel.map_morsels(
-        plan, relation, weights, ranges, domain_sizes, total_cells, share_key
-    )
-    merged = merge_grouped_partials(partials, aggregate.specs, weights is not None)
-    result = finalize_grouped_partials(
-        merged,
-        relation,
-        aggregate.group_keys,
-        aggregate.key_columns,
-        aggregate.specs,
-        aggregate.schema,
-        weights is not None,
-    )
-    for node in tail:
-        if isinstance(node, SortNode):
-            result = result.sort_by(list(node.columns), list(node.ascending))
-        else:
-            result = result.head(node.count)
-    return result
-
-
-# --------------------------------------------------------------------- #
 # Cross-shard partial aggregation (fleet scatter/gather)
 # --------------------------------------------------------------------- #
 
@@ -485,10 +329,10 @@ class PartialAggregateForm:
     ``partial_aggregate`` replaces the plan's aggregate with shard-locally
     computable pieces (AVG becomes SUM + a shared COUNT denominator); the
     JSON-safe ``recipe`` tells the gatherer how to merge the shards'
-    partial relations back into the original output — the same COUNT/SUM
-    accumulate + MIN/MAX extremum + AVG-as-sum-over-count algebra the
-    morsel partials use (:func:`merge_grouped_partials`), expressed at the
-    relation level so it can cross the wire.
+    partial relations back into the original output — COUNT/SUM
+    accumulate + MIN/MAX extremum + AVG-as-sum-over-count, expressed at
+    the relation level so it can cross the wire
+    (:func:`~repro.relational.kernels.merge_partial_aggregates`).
     """
 
     __slots__ = ("filters", "aggregate", "partial_aggregate", "recipe")
@@ -503,9 +347,8 @@ class PartialAggregateForm:
 def partial_aggregate_form(plan: LogicalPlan) -> PartialAggregateForm | None:
     """Split ``plan`` into shard-partial form, or ``None`` if not decomposable.
 
-    Decomposable shape mirrors :func:`partition_layout` — optional filters,
-    one aggregate, optional sort/limit tail — but without the encoded-key
-    requirement: the gatherer merges whole relations (vocab union +
+    Decomposable shape: optional filters, one aggregate, optional
+    sort/limit tail.  The gatherer merges whole relations (vocab union +
     searchsorted remap in :meth:`Relation.concat`), so group keys need no
     shared cell domain.  Sort/limit move into the recipe: shards must not
     apply them (a per-shard LIMIT changes which groups survive), the
@@ -634,69 +477,4 @@ def execute_plan_partial(
         aggregate.schema,
         weights,
         selection,
-    )
-
-
-def composite_layout(
-    plan: LogicalPlan, relation: Relation
-) -> tuple[AggregateNode, tuple[int, ...], int] | None:
-    """Can an OPEN repetition chunk shard across repetitions on the pool?
-
-    Same key-encoding requirement as :func:`partition_layout`; the plan
-    shape is already constrained by :func:`execute_plan_composite` (filters
-    then aggregate; any sort tail is applied to the combined answer).
-    """
-    aggregate = next(
-        (node for node in plan.nodes if isinstance(node, AggregateNode)), None
-    )
-    if aggregate is None:
-        return None
-    domain = encoded_group_domain(relation, aggregate.group_keys)
-    if domain is None:
-        return None
-    sizes, total = domain
-    if total > min(MAX_PARTITION_CELLS, max(1 << 16, 8 * relation.num_rows)):
-        return None
-    return aggregate, sizes, total
-
-
-def execute_plan_open_shard(
-    plan: LogicalPlan,
-    relation: Relation,
-    local_rep_ids: np.ndarray,
-    rep_count: int,
-    weight_value: float,
-    domain_sizes: tuple[int, ...],
-    domain_total: int,
-    row_offset: int,
-) -> dict:
-    """One repetition-shard's fragment of a batched OPEN execution.
-
-    ``relation`` is the shard's contiguous slice of the (view-filtered)
-    generation batch; uniform weights are rebuilt from the scalar — the
-    same ``np.full`` value the one-pass path uses, so no weight vector
-    crosses the process boundary.
-    """
-    selection: np.ndarray | None = None
-    aggregate: AggregateNode | None = None
-    for node in plan.nodes:
-        if isinstance(node, FilterNode):
-            mask = np.asarray(node.predicate.evaluate(relation), dtype=bool)
-            selection = mask if selection is None else selection & mask
-        elif isinstance(node, AggregateNode):
-            aggregate = node
-            break
-    assert aggregate is not None
-    weights = np.full(relation.num_rows, weight_value)
-    return composite_aggregate_partial(
-        relation,
-        aggregate.group_keys,
-        aggregate.specs,
-        local_rep_ids,
-        rep_count,
-        domain_sizes,
-        domain_total,
-        weights,
-        selection,
-        row_offset,
     )

@@ -29,16 +29,12 @@ def execute_select(
     query: SelectQuery,
     relation: Relation,
     weights: np.ndarray | None = None,
-    *,
-    parallel=None,
 ) -> Relation:
     """Evaluate ``query`` over ``relation``.
 
     ``weights`` triggers weighted-aggregate semantics; zero-weight rows are
     excluded from non-aggregate output (a reweighted tuple with zero weight
-    "does not exist").  ``parallel`` optionally supplies a
-    :class:`~repro.core.workers.ParallelExecution` context for morsel-driven
-    multi-process scans over large relations.
+    "does not exist").
     """
     plan = compile_select(query, relation.schema, weighted=weights is not None)
-    return execute_plan(plan, relation, weights, parallel=parallel)
+    return execute_plan(plan, relation, weights)

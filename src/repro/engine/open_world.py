@@ -407,7 +407,6 @@ def evaluate_open(
     population_size: float,
     rng: np.random.Generator,
     plan: LogicalPlan | None = None,
-    parallel=None,
 ) -> tuple[Relation, list[str], dict]:
     """Answer ``query`` from generated population samples.
 
@@ -426,15 +425,7 @@ def evaluate_open(
     except the one :func:`runs_per_repetition` shape, which takes
     :func:`_evaluate_open_loop`.  Each repetition draws from its own RNG
     stream spawned off a single ``rng`` draw, so the answer is a function
-    of the query, the model and the session RNG state — not of chunking or
-    of where execution ran.
-
-    ``parallel`` is the engine's
-    :class:`~repro.core.workers.ParallelExecution` context: the stream
-    shards a large chunk across repetitions on the worker pool (see
-    :meth:`run_open_shards`), the other paths hand it to
-    :func:`execute_plan` for ordinary morsel scans.  Every parallel
-    variant is bit-identical to serial execution.
+    of the query, the model and the session RNG state — not of chunking.
     """
     generator_name = getattr(generator, "name", type(generator).__name__)
     rows = config.rows_per_generation or source.sample.num_rows
@@ -459,7 +450,7 @@ def evaluate_open(
         rows = min(int(np.ceil(population_size)), config.max_materialized_rows)
         (stream,) = repetition_streams(rng, 1)
         generated = _apply_view(_generate(generator, rows, stream), predicate)
-        relation = execute_plan(plan, generated, parallel=parallel)
+        relation = execute_plan(plan, generated)
         notes = [
             f"non-aggregate OPEN query: materialised one generated sample of "
             f"{rows} row(s)"
@@ -468,7 +459,7 @@ def evaluate_open(
     else:
         run = _evaluate_open_loop if runs_per_repetition(query) else _evaluate_open_stream
         relation, notes, meta = run(
-            query, generator, config, population_size, rng, plan, predicate, rows, parallel
+            query, generator, config, population_size, rng, plan, predicate, rows
         )
     notes.insert(
         0, f"OPEN: {meta['repetitions_used']} generated sample(s) from {generator_name}"
@@ -485,7 +476,6 @@ def _evaluate_open_loop(
     plan: LogicalPlan,
     predicate,
     rows: int,
-    parallel=None,
 ) -> tuple[Relation, list[str], dict]:
     """Sec. 5.3 read literally: one generate → execute round per
     repetition, then :func:`combine_open_answers`.
@@ -503,7 +493,7 @@ def _evaluate_open_loop(
             # to match the size of the population", Sec. 5.3); the view
             # filter keeps that scale.
             weights = np.full(generated.num_rows, population_size / rows)
-            answers.append(execute_plan(plan, generated, weights, parallel=parallel))
+            answers.append(execute_plan(plan, generated, weights))
     notes = _participation_notes(repetitions, len(answers))
     notes.append(_kept_note(len(answers)))
     combined = combine_open_answers(answers, _key_columns(query, answers[0]))
@@ -578,17 +568,14 @@ def _evaluate_open_stream(
     plan: LogicalPlan,
     predicate,
     rows: int,
-    parallel=None,
 ) -> tuple[Relation, list[str], dict]:
     """The OPEN aggregate path: a chunked stream of repetitions.
 
     The ``cap`` repetition streams spawn once (one draw on the session
     RNG), then repetitions are generated ``chunk`` at a time.  Each chunk
     is view-filtered in one vectorized pass and executed once over
-    composite ``(rep, group)`` codes — on the worker pool, sharded on
-    repetition boundaries, when the chunk is large enough — and its
-    per-(repetition, group) cells merge into the O(G) state of
-    :class:`_SurvivingGroups`.  With ``tolerance == 0`` there is nothing to
+    composite ``(rep, group)`` codes, and its per-(repetition, group)
+    cells merge into the O(G) state of :class:`_SurvivingGroups`.  With ``tolerance == 0`` there is nothing to
     stop on: ``chunk = cap`` and the stream is one generate, one execute,
     one combine.  Otherwise, after each chunk, once ``min_repetitions``
     repetitions have participated, generation stops as soon as every
@@ -612,7 +599,6 @@ def _evaluate_open_stream(
         next(node for node in plan.nodes if isinstance(node, AggregateNode))
     )
     used = 0
-    sharded_any = False
     trace = current_trace()
     chunk_log = (
         trace.meta.setdefault("open_chunks", []) if trace is not None else None
@@ -633,15 +619,7 @@ def _evaluate_open_stream(
         used = stop
         participating = np.bincount(rep_ids, minlength=stop - start) > 0
         if participating.any():
-            sharded = (
-                None
-                if parallel is None
-                else parallel.run_open_shards(
-                    plan, data, rep_ids, stop - start, weight_value
-                )
-            )
-            sharded_any = sharded_any or sharded is not None
-            _, composite = sharded or execute_plan_composite(
+            _, composite = execute_plan_composite(
                 plan, data, rep_ids, stop - start, np.full(data.num_rows, weight_value)
             )
             groups.merge(data, composite, participating)
@@ -666,8 +644,6 @@ def _evaluate_open_stream(
             break
 
     notes = _participation_notes(used, groups.answered)
-    if sharded_any:
-        notes.append("OPEN: composite pass sharded across the worker pool")
     notes.append(
         f"OPEN: streamed {used} of up to {cap} repetition(s) in chunks of "
         f"{chunk} over composite (rep, group) codes"

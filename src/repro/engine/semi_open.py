@@ -43,30 +43,20 @@ def evaluate_semi_open(
     catalog: Catalog,
     plan: LogicalPlan | None = None,
     reweighted: tuple[Relation, np.ndarray, list[str]] | None = None,
-    *,
-    parallel=None,
-    share_key: tuple | None = None,
 ) -> tuple[Relation, list[str]]:
     """Answer ``query`` from the reweighted sample.
 
     ``plan`` is the compiled form of ``query`` over the sample's schema and
     ``reweighted`` a precomputed ``(relation, weights, notes)`` triple —
     both supplied by :class:`~repro.core.database.MosaicDB` on cache hits,
-    recomputed here otherwise.  ``parallel`` is the engine's
-    :class:`~repro.core.workers.ParallelExecution` context; ``share_key``
-    the stable shared-memory identity of the reweighted source (keyed on
-    the same version stamp as the reweight cache, so worker processes keep
-    reusing one segment across queries).
+    recomputed here otherwise.
     """
     if reweighted is None:
         reweighted = reweighted_sample(source, catalog)
     relation, weights, notes = reweighted
     if plan is None:
         plan = compile_select(query, relation.schema, weighted=True)
-    return (
-        execute_plan(plan, relation, weights, parallel=parallel, share_key=share_key),
-        list(notes),
-    )
+    return execute_plan(plan, relation, weights), list(notes)
 
 
 def reweighted_sample(

@@ -131,14 +131,11 @@ class QueryTimeoutError(MosaicError):
 
 
 class WorkerCrashError(MosaicError):
-    """A parallel worker process died (or stalled) and the task could not
-    be retried.
+    """A parallel worker process died (or stalled) mid-query.
 
-    The execution layer retries a crashed worker's tasks on a fresh
-    process (``ExecutionConfig.max_task_retries`` times per task); this
-    error surfaces only when the budget is exhausted or the whole batch
-    times out — queries never hang on a dead worker, and the engine
-    respawns a fresh pool for the next query.
+    Nothing raises it any more — scans run serially in-process — but its
+    wire code ``WORKER_CRASH`` stays registered: wire codes are
+    append-only, so an older peer's frame still decodes to this type.
     """
 
 

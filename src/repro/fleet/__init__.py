@@ -6,7 +6,7 @@ See ``ARCHITECTURE.md`` §8.  The fleet runs ``N`` ordinary
 protocol, so any :class:`~repro.client.Client` works against a fleet
 unchanged.  Relations **replicate** to every shard by default; opt-in
 *sliced* relations (``--partition``) scatter decomposable aggregates as
-cross-shard partials and gather with the morsel merge algebra.
+cross-shard partials and gather with the COUNT/SUM/MIN/MAX merge algebra.
 """
 
 from repro.fleet.client import FleetClient

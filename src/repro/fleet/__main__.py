@@ -36,12 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="engine RNG seed (every shard)"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="morsel worker processes per shard (default: MOSAIC_WORKERS or 0)",
-    )
-    parser.add_argument(
         "--init-sql",
         metavar="PATH",
         help="SQL script each shard executes before serving (replicated DDL)",
@@ -81,7 +75,6 @@ async def run(args: argparse.Namespace) -> int:
     shards = launch_shards(
         args.shards,
         seed=args.seed,
-        workers=args.workers,
         init_sql=args.init_sql,
         data_dir=args.data_dir,
     )

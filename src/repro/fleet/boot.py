@@ -73,7 +73,6 @@ def launch_shard(
     *,
     host: str = "127.0.0.1",
     seed: int = 0,
-    workers: int | None = None,
     init_sql: str | None = None,
     data_dir: str | None = None,
     startup_timeout: float = 60.0,
@@ -96,8 +95,6 @@ def launch_shard(
         "--shard-id",
         str(shard_id),
     ]
-    if workers is not None:
-        command += ["--workers", str(workers)]
     if init_sql is not None:
         command += ["--init-sql", init_sql]
     if data_dir is not None:
@@ -141,7 +138,6 @@ def launch_shards(
     *,
     host: str = "127.0.0.1",
     seed: int = 0,
-    workers: int | None = None,
     init_sql: str | None = None,
     data_dir: str | None = None,
 ) -> list[ShardProcess]:
@@ -159,7 +155,6 @@ def launch_shards(
                     shard_id,
                     host=host,
                     seed=seed,
-                    workers=workers,
                     init_sql=init_sql,
                     data_dir=data_dir,
                 )

@@ -4,9 +4,10 @@ The router speaks the ordinary wire protocol, so a plain ``Client``
 already works against a fleet.  ``FleetClient`` adds the fleet-aware
 observability surface: :meth:`router_stats` and :meth:`shard_rollup`
 unpack the router's two-level STATS payload (``{"router": ..., "shards":
-{id: per-shard stats}}``) and aggregate the engine counters — pool
-execution stats and the PR 7 ``open_adaptive`` counters — across every
-reporting shard.
+{id: per-shard stats}}``) and aggregate the engine counters — the
+``execution`` section (all zeros since scans run serially; kept for the
+append-only STATS schema) and the ``open_adaptive`` counters — across
+every reporting shard.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ This module applies the recipe router-side:
 
 1. concatenate the partials (vocab union + searchsorted remap) and
    re-reduce with :func:`~repro.relational.kernels.merge_partial_aggregates`
-   — the same COUNT/SUM accumulate + MIN/MAX extremum algebra the morsel
-   executor uses, so fleet answers match single-engine answers exactly
+   — COUNT/SUM accumulate + MIN/MAX extremum, so fleet answers match
+   single-engine answers exactly
    whenever the float summation is exact (see the §8 caveat),
 2. reproduce the single-engine zero-row semantics for ungrouped
    aggregates (COUNT over nothing is 0; any other aggregate raises),

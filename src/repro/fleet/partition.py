@@ -73,8 +73,7 @@ class PartitionSpec:
                 assignment[shard].append(index)
             return assignment
         # Round-robin: deal near-equal contiguous runs, so shard s holds
-        # rows [s*n/N, (s+1)*n/N) of each statement — the same contiguous
-        # decomposition the morsel executor uses for ranges.
+        # rows [s*n/N, (s+1)*n/N) of each statement.
         count = len(rows)
         for shard in range(num_shards):
             start = shard * count // num_shards

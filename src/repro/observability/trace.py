@@ -4,7 +4,7 @@ A :class:`QueryTrace` records a flat list of named spans (start offset +
 duration + free-form annotations) plus trace-level metadata and child
 traces (the fleet router stitches per-shard traces under one gather).
 The active trace travels in a :mod:`contextvars` variable so deep layers
-— plan compilation, the OPEN repetition loop, the morsel pool — can
+— plan compilation, the OPEN repetition loop, the re-rake — can
 annotate the current query without every signature growing a parameter.
 
 Sampling (``MOSAIC_TRACE_SAMPLE``) is counter-based, not random: a rate

@@ -78,8 +78,7 @@ class Relation:
     arrays are already coerced to the schema's storage dtypes.
     """
 
-    # __weakref__ lets caches key segments/artifacts on relation identity
-    # with weak references (see repro.relational.shm).
+    # __weakref__ lets callers hold weak references to relations.
     __slots__ = ("_schema", "_columns", "_nrows", "_dictionaries", "_encodings", "__weakref__")
 
     def __init__(
@@ -361,8 +360,7 @@ class Relation:
         """The contiguous row window ``[start, stop)`` as zero-copy views.
 
         Basic numpy slicing: column arrays and encoding codes become views
-        over the parent's buffers (no row data moves), which is what makes
-        morsel-at-a-time execution free to set up.  Memoized dictionaries
+        over the parent's buffers (no row data moves).  Memoized dictionaries
         are not carried over (they describe the full row set)."""
         if not (0 <= start <= stop <= self._nrows):
             raise SchemaError(

@@ -1,34 +1,28 @@
-"""Shared-memory backing for relations: segments, descriptors, lifecycles.
+"""Shared-memory backing for relations: segments, descriptors, attach.
 
-The multi-process executor (``repro.core.workers``) needs to hand a
-relation to worker processes without serializing row data.  This module
-places the *storage form* of a relation — numeric column arrays plus the
-``int32`` dictionary-code buffers of TEXT columns — into one
-:class:`multiprocessing.shared_memory.SharedMemory` segment, and describes
-the layout with a compact, picklable descriptor (segment name plus
-per-column dtype/offset, plus each TEXT column's vocab).  A worker attaches
-in O(1): it maps the segment and wraps ``np.ndarray`` views over the
-buffer; the only per-attach materialisation is the ``vocab[codes]`` gather
-that rebuilds TEXT object columns (shared ``str`` objects, one C loop).
+This module places the *storage form* of a relation — numeric column
+arrays plus the ``int32`` dictionary-code buffers of TEXT columns — into
+one :class:`multiprocessing.shared_memory.SharedMemory` segment, and
+describes the layout with a compact, picklable descriptor (segment name
+plus per-column dtype/offset, plus each TEXT column's vocab).  Another
+process attaches in O(1): it maps the segment and wraps ``np.ndarray``
+views over the buffer; the only per-attach materialisation is the
+``vocab[codes]`` gather that rebuilds TEXT object columns (shared ``str``
+objects, one C loop).  Durable page files (:mod:`repro.storage.pages`)
+use the same slot layout and reopen through :func:`attach_relation`.
 
 Ownership and lifecycle
 -----------------------
 Segments are owned by the creating process.  :class:`SharedRelationHandle`
 refcounts one segment: the owner unlinks it exactly once, when the last
-reference is released.  :class:`SharedRelationStore` caches handles keyed
-by the identity of the source arrays (relations are immutable), holds one
-cache reference per entry, drops entries when the source relation is
-garbage collected (weakref callbacks) or when the LRU capacity is hit, and
-:meth:`SharedRelationStore.close_all` releases everything idempotently —
-the hook ``Engine.shutdown`` uses to guarantee no ``/dev/shm`` leaks.
-Attaching processes never unlink; they also attach *untracked* — on
-Python ≤ 3.12 ``SharedMemory`` registers attachments with
-``multiprocessing.resource_tracker``, which would double-unlink at worker
-exit, and compensating with register-then-unregister corrupts the
-tracker's name set when several attachers interleave (the tracker keys a
-plain set, so ``+owner +w1 -w1 +w2 -w2 -owner`` dies on the last
-unregister).  :func:`_attach_segment` keeps the registration from ever
-reaching the tracker instead.
+reference is released.  Attaching processes never unlink; they also
+attach *untracked* — on Python ≤ 3.12 ``SharedMemory`` registers
+attachments with ``multiprocessing.resource_tracker``, which would
+double-unlink at the attacher's exit, and compensating with
+register-then-unregister corrupts the tracker's name set when several
+attachers interleave (the tracker keys a plain set, so ``+owner +w1 -w1
++w2 -w2 -owner`` dies on the last unregister).  :func:`_attach_segment`
+keeps the registration from ever reaching the tracker instead.
 """
 
 from __future__ import annotations
@@ -36,8 +30,6 @@ from __future__ import annotations
 import mmap
 import threading
 import uuid
-import weakref
-from collections import OrderedDict
 from multiprocessing import resource_tracker, shared_memory
 from typing import Mapping, NamedTuple
 
@@ -56,8 +48,7 @@ SEGMENT_PREFIX = "mosaic-shm-"
 _ALIGNMENT = 64
 
 #: Serializes the register-suppression window in :func:`_attach_segment`
-#: (pre-3.13 interpreters only; workers are single-threaded, this guards
-#: in-process attachers like tests).
+#: (pre-3.13 interpreters only; guards concurrent in-process attachers).
 _ATTACH_LOCK = threading.Lock()
 
 
@@ -110,16 +101,15 @@ class ExtraSlot(NamedTuple):
 
 
 class RelationDescriptor(NamedTuple):
-    """Everything a worker needs to attach: no row data, plain tuples.
+    """Everything an attacher needs: no row data, plain tuples.
 
     ``path`` distinguishes the two segment kinds: ``None`` means a
     ``/dev/shm`` segment named ``segment``; a filesystem path means a
     durable columnar page file (``repro.storage.pages``) that attachers
     memory-map read-only — same slot layout, zero copies, no shared-memory
     segment at all.  File descriptors still carry a unique ``segment``
-    string (``"file:<path>"``) so worker-side caches key them like any
-    other segment.  The field defaults to ``None`` so descriptors pickled
-    by older code unpickle unchanged.
+    string (``"file:<path>"``).  The field defaults to ``None`` so
+    descriptors pickled by older code unpickle unchanged.
     """
 
     segment: str
@@ -159,7 +149,7 @@ class _FileSegment:
 
 
 class AttachedRelation:
-    """A worker-side view of a shared relation (plus its extra arrays).
+    """An attached view of a shared relation (plus its extra arrays).
 
     ``relation`` columns are read-only numpy views over the mapped
     segment; ``extras`` maps side-array names to read-only views.  Keep
@@ -189,8 +179,8 @@ class AttachedRelation:
 class _LazyTextColumns(dict):
     """A relation's column mapping with TEXT object gathers deferred.
 
-    Fragment execution reads TEXT columns through their ``(vocab, codes)``
-    encodings — codespace predicates, encoded group codes — so an attached
+    Plan execution reads TEXT columns through their ``(vocab, codes)``
+    encodings — codespace predicates, dictionary group codes — so an attached
     relation usually never needs the object arrays at all.  Only
     materialised entries live in the dict storage; looking up a pending
     column runs its ``vocab[codes]`` gather on demand (``__missing__``),
@@ -333,14 +323,14 @@ def attach_relation(
     """Map a shared segment and rebuild the relation over it (O(1) in rows).
 
     Numeric columns and code buffers are zero-copy read-only views; TEXT
-    object columns are *lazy* — fragment execution works in code space, so
+    object columns are *lazy* — plan execution works in code space, so
     the ``vocab[codes]`` gather only runs if a caller asks for the object
     array (see :class:`_LazyTextColumns`).
 
     ``window=(start, stop)`` attaches only that row range: numeric views
     point into the segment at the window offset and the TEXT gather runs
-    over the window's codes alone, so a worker assigned one morsel pays
-    for one morsel — not for the whole relation.  Extras are windowed the
+    over the window's codes alone, so attaching a window pays for the
+    window — not for the whole relation.  Extras are windowed the
     same way.  Codes still index the full shared vocab, so dictionary
     encodings stay consistent with whole-relation domain layouts.
 
@@ -440,157 +430,3 @@ class SharedRelationHandle:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - external cleanup raced
             pass
-
-
-class MappedSegmentHandle:
-    """A no-op lease over a durable page file already on disk.
-
-    File-backed relations (``repro.storage.pages.MappedRelation``) carry
-    their own :class:`RelationDescriptor`; workers mmap the page file
-    directly, so there is no segment to create, refcount, or unlink —
-    acquire/release exist only to satisfy the
-    :class:`SharedRelationHandle` protocol.  The page file's lifetime is
-    the durable store's concern (checkpoints referenced by live relations
-    are never deleted; see ``repro.storage.store``).
-    """
-
-    __slots__ = ("descriptor",)
-
-    def __init__(self, descriptor: RelationDescriptor):
-        self.descriptor = descriptor
-
-    @property
-    def segment_name(self) -> str:
-        return self.descriptor.segment
-
-    def acquire(self) -> "MappedSegmentHandle":
-        return self
-
-    def release(self) -> None:
-        pass
-
-
-class SharedRelationStore:
-    """A refcounting LRU cache of shared segments, keyed by array identity.
-
-    Relations are immutable, so ``id(relation)`` (plus the ids of any extra
-    arrays) identifies the exact bytes a segment holds; weak references on
-    the sources both keep the key honest (an id can only be reused after
-    the referent dies, which first evicts the entry) and garbage-collect
-    segments whose relation is gone.  ``max_segments`` bounds resident
-    segments: least-recently-leased entries are released first (their
-    segment lives on until outstanding leases drop).  All methods are
-    thread-safe; :meth:`close_all` is idempotent.
-    """
-
-    def __init__(self, max_segments: int = 16):
-        self._max = max(1, max_segments)
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[tuple, SharedRelationHandle]" = OrderedDict()
-        self._pins: dict[tuple, list] = {}  # weakrefs keeping key ids valid
-        self._closed = False
-        self._stats = {"shares": 0, "reuses": 0, "evictions": 0, "mmap_leases": 0}
-
-    def lease(
-        self,
-        relation: Relation,
-        extras: Mapping[str, np.ndarray] | None = None,
-        key: tuple | None = None,
-    ) -> SharedRelationHandle:
-        """A handle for ``relation`` (+1 ref, caller must ``release()``).
-
-        Serves a cached segment when the same relation (and extra arrays)
-        was shared before; otherwise copies it into a new segment.
-
-        ``key`` is an optional *stable identity* for the relation (+extras)
-        — e.g. ``(sample uid, data version, ...)`` — for callers whose
-        relation object is re-derived per query (view-filtered samples,
-        reweighted tuples): identity-keyed entries can never hit across
-        such queries, a stable key can.  The caller guarantees that equal
-        keys always describe bit-identical content (version stamps make
-        this trivial); stable entries are not weakref-pinned to the source
-        arrays (the segment holds copies), so they survive the source
-        object's death and are reclaimed by LRU eviction or close_all().
-        """
-        extras = dict(extras or {})
-        if not extras:
-            # Zero-copy fast path: a durable, file-backed relation already
-            # *is* a segment on disk — workers mmap the page file via its
-            # descriptor, so nothing is copied into /dev/shm at all.
-            # Extras (weights, rep ids) are per-query arrays that live
-            # outside the page, so any extra falls back to a copied shm
-            # segment below.
-            descriptor = getattr(relation, "mmap_descriptor", None)
-            if descriptor is not None:
-                with self._lock:
-                    if self._closed:
-                        raise MosaicError("shared-relation store is closed")
-                    self._stats["mmap_leases"] += 1
-                return MappedSegmentHandle(descriptor)
-        if key is not None:
-            key = ("stable", key, tuple(sorted(extras)))
-        else:
-            key = (id(relation), tuple(sorted((n, id(a)) for n, a in extras.items())))
-        with self._lock:
-            if self._closed:
-                raise MosaicError("shared-relation store is closed")
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._stats["reuses"] += 1
-                return cached.acquire()
-        handle = share_relation(relation, extras)
-        with self._lock:
-            if self._closed:
-                handle.release()
-                raise MosaicError("shared-relation store is closed")
-            raced = self._entries.get(key)
-            if raced is not None:  # another thread shared the same relation
-                handle.release()
-                self._entries.move_to_end(key)
-                self._stats["reuses"] += 1
-                return raced.acquire()
-            self._stats["shares"] += 1
-            self._entries[key] = handle
-            if key[0] != "stable":
-                # Identity-keyed entries are only valid while the exact
-                # source objects live — pin with weakrefs and evict on
-                # death.  Stable-keyed entries outlive their sources by
-                # design (the key, not the object, carries the identity).
-                self._pins[key] = [
-                    weakref.ref(source, lambda _, k=key: self._evict(k))
-                    for source in (relation, *extras.values())
-                ]
-            handle.acquire()  # the caller's reference, on top of the cache's
-            while len(self._entries) > self._max:
-                stale_key, stale = self._entries.popitem(last=False)
-                self._pins.pop(stale_key, None)
-                self._stats["evictions"] += 1
-                stale.release()
-            return handle
-
-    def _evict(self, key: tuple) -> None:
-        """Weakref callback: a source array died, drop its segment."""
-        with self._lock:
-            handle = self._entries.pop(key, None)
-            self._pins.pop(key, None)
-        if handle is not None:
-            handle.release()
-
-    def close_all(self) -> None:
-        """Release every cached segment and refuse further leases (idempotent)."""
-        with self._lock:
-            entries = list(self._entries.values())
-            self._entries.clear()
-            self._pins.clear()
-            self._closed = True
-        for handle in entries:
-            handle.release()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {**self._stats, "live_segments": len(self._entries)}

@@ -19,7 +19,6 @@ import sys
 
 from repro.core.engine import Engine
 from repro.core.session import SessionConfig
-from repro.core.workers import ExecutionConfig
 from repro.server.server import MosaicServer
 
 
@@ -49,12 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query wall-clock limit in seconds (default: none)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="morsel-execution worker processes (default: MOSAIC_WORKERS or 0)",
-    )
-    parser.add_argument(
         "--shard-id",
         type=int,
         default=None,
@@ -82,11 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def run(args: argparse.Namespace) -> int:
-    engine = Engine(
-        seed=args.seed,
-        execution=ExecutionConfig(processes=args.workers),
-        data_dir=args.data_dir,
-    )
+    engine = Engine(seed=args.seed, data_dir=args.data_dir)
     warm = False
     if args.data_dir:
         storage = engine.cache_stats()["storage"]

@@ -4,8 +4,7 @@ See ``ARCHITECTURE.md`` §10.  Three layers:
 
 - :mod:`repro.storage.pages` — the on-disk columnar page format, byte-
   identical to the shared-memory layout so reopening is an ``mmap`` plus a
-  header parse (O(1) in rows) and the worker pool can scan page files
-  zero-copy.
+  header parse (O(1) in rows) and scans read the page file zero-copy.
 - :mod:`repro.storage.wal` — the framed, checksummed write-ahead log with
   torn-tail recovery and monotonic LSNs.
 - :mod:`repro.storage.store` — the :class:`DurableStore` tying both into

@@ -14,9 +14,9 @@ rows*: read the header, ``mmap`` the file once, and wrap read-only
 materialisation.  TEXT object columns stay lazy behind the same
 ``vocab[codes]`` gather the shm attach path uses.  The resulting
 :class:`MappedRelation` carries its own
-:class:`~repro.relational.shm.RelationDescriptor`, which is how the
-morsel worker pool attaches the *file* directly (zero-copy scans) instead
-of copying the relation into ``/dev/shm``.
+:class:`~repro.relational.shm.RelationDescriptor`, so another process can
+map the *file* directly instead of copying the relation into
+``/dev/shm``.
 
 File layout::
 
@@ -73,8 +73,8 @@ class MappedRelation(Relation):
     Behaves exactly like any :class:`Relation` (transformations return
     plain relations); the extra slots only (a) keep the file mapping alive
     for the lifetime of the views and (b) expose ``mmap_descriptor``, the
-    marker :class:`~repro.relational.shm.SharedRelationStore` uses to
-    serve workers the page file itself instead of a ``/dev/shm`` copy.
+    page's descriptor — what :func:`~repro.relational.shm.attach_relation`
+    needs to map the same file again.
     """
 
     __slots__ = ("mmap_descriptor", "_attached")

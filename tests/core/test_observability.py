@@ -389,20 +389,56 @@ class TestRegistryViewsOfEngineCounters:
 
     def test_execution_stats_keys_stable(self):
         db = build_closed_db()
-        execution = db.engine.cache_stats()["execution"]
-        # Append-only contract: the seed keys survive, worker_crashes adds.
-        for key in (
-            "workers",
-            "worker_restarts",
-            "worker_crashes",
-            "parallel_batches",
-            "local_batches",
-            "tasks_dispatched",
-            "plan_fallbacks",
-            "pool_busy",
-            "segments_shared",
-            "segment_reuses",
-            "segment_evictions",
-            "live_segments",
-        ):
-            assert key in execution
+        db.execute("SELECT CLOSED name, SUM(n) AS t FROM T GROUP BY name")
+        # Append-only contract: every key the worker pool once reported
+        # stays, and with scans serial in-process every one reads 0.
+        assert db.engine.cache_stats()["execution"] == dict.fromkeys(
+            (
+                "workers",
+                "worker_restarts",
+                "parallel_batches",
+                "local_batches",
+                "tasks_dispatched",
+                "plan_fallbacks",
+                "pool_busy",
+                "worker_crashes",
+                "segments_shared",
+                "segment_reuses",
+                "segment_evictions",
+                "segment_mmap_leases",
+                "live_segments",
+            ),
+            0,
+        )
+
+    def test_fleet_rollup_of_execution_stats_is_pinned(self, monkeypatch):
+        from repro.fleet import FleetClient
+
+        db = build_closed_db()
+        db.execute("SELECT CLOSED name, SUM(n) AS t FROM T GROUP BY name")
+        engine_stats = db.engine.cache_stats()
+        client = FleetClient("127.0.0.1", 1, pool_size=1)  # never dials
+        monkeypatch.setattr(
+            client,
+            "shard_stats",
+            lambda: {"0": {"engine": engine_stats}, "1": {"engine": engine_stats}},
+        )
+        rollup = client.shard_rollup()
+        assert rollup["shards_reporting"] == 2
+        assert rollup["execution"] == dict.fromkeys(
+            (
+                "workers",
+                "worker_restarts",
+                "worker_crashes",
+                "parallel_batches",
+                "local_batches",
+                "tasks_dispatched",
+                "plan_fallbacks",
+                "pool_busy",
+                "segments_shared",
+                "segment_reuses",
+                "segment_evictions",
+                "live_segments",
+            ),
+            0,
+        )

@@ -1,0 +1,144 @@
+"""Reference implementation the exact scan kernels replaced.
+
+These are the bodies ``repro.relational.kernels.grouped_aggregate`` and
+``_aggregate_column`` had before the ungrouped path and the shared
+narrow-dtype MIN/MAX order: every aggregate, grouped or not, gathers one
+group code per selected row and reduces with ``np.bincount`` /
+``np.add.at``; every MIN/MAX spec runs its own int64 stable argsort.  The
+tests compare the production kernel against it: numeric columns
+``tobytes()``-equal, TEXT columns equal, and the same error type.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.errors import SchemaError, TypeMismatchError
+from repro.relational.aggregates import AggregateSpec
+from repro.relational.groupby import group_codes
+from repro.relational.kernels import _argument_values
+from repro.relational.relation import Relation, compact_codes
+from repro.relational.schema import Schema
+
+
+def grouped_aggregate(
+    relation: Relation,
+    group_keys: Sequence[str],
+    key_columns: Sequence[str],
+    specs: Sequence[AggregateSpec],
+    out_schema: Schema,
+    weights: np.ndarray | None = None,
+    selection: np.ndarray | None = None,
+) -> Relation:
+    n = relation.num_rows
+    codes, num_groups, first_indices = group_codes(relation, group_keys)
+
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape[0] != n:
+            raise SchemaError(
+                f"weight vector length {weights.shape[0]} does not match row count {n}"
+            )
+
+    sel: np.ndarray | None = None
+    if selection is not None:
+        selection = np.asarray(selection, dtype=bool)
+        if selection.shape[0] != n:
+            raise SchemaError(
+                f"selection length {selection.shape[0]} does not match row count {n}"
+            )
+        sel = np.flatnonzero(selection)
+        codes = codes[sel]
+        if group_keys:
+            codes, present, counts = compact_codes(codes, num_groups)
+            first_indices = first_indices[present]
+            num_groups = int(present.sum())
+        else:
+            counts = np.bincount(codes, minlength=num_groups)
+        if weights is not None:
+            weights = weights[sel]
+    else:
+        counts = np.bincount(codes, minlength=num_groups)
+
+    if weights is not None:
+        alive = weights > 0.0
+        kept = np.bincount(codes[alive], minlength=num_groups) > 0
+    else:
+        alive = None
+        kept = np.ones(num_groups, dtype=bool)
+
+    columns: list[np.ndarray] = [
+        relation.column(name)[first_indices][kept] for name in key_columns
+    ]
+    for spec in specs:
+        columns.append(
+            _aggregate_column(
+                spec, relation, codes, num_groups, counts, weights, alive, kept, sel
+            )
+        )
+    return Relation.from_groups(out_schema, columns)
+
+
+def _aggregate_column(
+    spec: AggregateSpec,
+    relation: Relation,
+    codes: np.ndarray,
+    num_groups: int,
+    counts: np.ndarray,
+    weights: np.ndarray | None,
+    alive: np.ndarray | None,
+    kept: np.ndarray,
+    sel: np.ndarray | None = None,
+) -> np.ndarray:
+    if spec.func == "COUNT":
+        if weights is None:
+            return counts[kept]
+        return np.bincount(codes, weights=weights, minlength=num_groups)[kept]
+
+    if weights is None and np.any(counts[kept] == 0):
+        raise SchemaError(f"aggregate {spec.to_sql()} over zero rows")
+
+    assert spec.expr is not None
+    values = _argument_values(spec, relation, sel)
+    if not np.issubdtype(values.dtype, np.number):
+        raise TypeMismatchError(f"{spec.func} requires a numeric argument")
+
+    if spec.func == "SUM":
+        if weights is None:
+            if np.issubdtype(values.dtype, np.integer):
+                sums = np.zeros(num_groups, dtype=np.int64)
+                np.add.at(sums, codes, values)
+            else:
+                sums = np.bincount(codes, weights=values, minlength=num_groups)
+        else:
+            sums = np.bincount(codes, weights=weights * values, minlength=num_groups)
+        return sums[kept]
+    if spec.func == "AVG":
+        if weights is None:
+            sums = np.bincount(codes, weights=values.astype(np.float64), minlength=num_groups)
+            return sums[kept] / counts[kept]
+        weighted_sums = np.bincount(codes, weights=weights * values, minlength=num_groups)
+        weight_totals = np.bincount(codes, weights=weights, minlength=num_groups)
+        if np.any(weight_totals[kept] <= 0.0):
+            raise SchemaError(f"AVG over zero total weight in {spec.to_sql()}")
+        return weighted_sums[kept] / weight_totals[kept]
+
+    assert spec.func in ("MIN", "MAX")
+    if alive is not None:
+        segment_codes = codes[alive]
+        segment_values = values[alive]
+    else:
+        segment_codes = codes
+        segment_values = values
+    if segment_codes.size == 0:
+        return segment_values[:0]
+    order = np.argsort(segment_codes, kind="stable")
+    segment_codes = segment_codes[order]
+    segment_values = segment_values[order]
+    starts = np.concatenate(
+        [[0], np.flatnonzero(np.diff(segment_codes)) + 1]
+    ).astype(np.int64)
+    ufunc = np.minimum if spec.func == "MIN" else np.maximum
+    return ufunc.reduceat(segment_values, starts)

@@ -12,7 +12,6 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.shm import (
     SEGMENT_PREFIX,
-    SharedRelationStore,
     attach_relation,
     share_relation,
 )
@@ -193,47 +192,6 @@ class TestLifecycle:
         handle.release()
         with pytest.raises(MosaicError):
             handle.acquire()
-
-    def test_store_reuses_segments(self, rel):
-        store = SharedRelationStore(max_segments=4)
-        try:
-            first = store.lease(rel)
-            second = store.lease(rel)
-            assert first.descriptor.segment == second.descriptor.segment
-            first.release()
-            second.release()
-            stats = store.stats()
-            assert stats["shares"] == 1
-            assert stats["reuses"] == 1
-            assert stats["live_segments"] == 1
-        finally:
-            store.close_all()
-
-    def test_store_evicts_least_recently_used(self, rel):
-        store = SharedRelationStore(max_segments=2)
-        try:
-            relations = [rel.slice_rows(0, i + 1) for i in range(3)]
-            handles = [store.lease(r) for r in relations]
-            names = [h.descriptor.segment for h in handles]
-            for handle in handles:
-                handle.release()
-            assert store.stats()["evictions"] == 1
-            assert not _segment_exists(names[0])  # oldest evicted
-            assert _segment_exists(names[1]) and _segment_exists(names[2])
-        finally:
-            store.close_all()
-
-    def test_close_all_is_idempotent(self, rel):
-        store = SharedRelationStore()
-        handle = store.lease(rel)
-        name = handle.descriptor.segment
-        handle.release()
-        store.close_all()
-        store.close_all()
-        assert store.closed
-        assert not _segment_exists(name)
-        with pytest.raises(MosaicError):
-            store.lease(rel)
 
 
 def _attach_and_report(descriptor, column, queue):

@@ -230,6 +230,14 @@ class TestErrorCodes:
         rebuilt = error_from_wire(code, message, data)
         assert (rebuilt.line, rebuilt.column) == (3, 7)
 
+    def test_worker_crash_error_has_stable_wire_code(self):
+        # Nothing raises it any more, but wire codes are append-only.
+        code, message, data = error_to_wire(errors.WorkerCrashError("worker died"))
+        assert code == "WORKER_CRASH"
+        rebuilt = error_from_wire(code, message, data)
+        assert type(rebuilt) is errors.WorkerCrashError
+        assert str(rebuilt) == "worker died"
+
     def test_non_mosaic_errors_wrap_as_server(self):
         code, message, _ = error_to_wire(ValueError("boom"))
         assert code == "SERVER"

@@ -1,19 +1,17 @@
-"""Bit-identity across checkpoint → restart, and zero-copy worker scans.
+"""Bit-identity across checkpoint → restart.
 
 The acceptance bar for durable storage: a restarted engine answers every
 visibility *bit-identically* to the pre-restart engine — CLOSED and
 SEMI-OPEN because the mapped pages are byte-identical to the original
 arrays, OPEN additionally because session RNG streams are derived from
 the engine seed and the (matched) session spawn index, never from
-storage.  And the morsel worker pool must scan restored relations through
-the page file itself (``segment_mmap_leases``), not via a /dev/shm copy.
+storage.
 """
 
 import numpy as np
 
 from repro import MosaicDB
 from repro.core.session import SessionConfig
-from repro.core.workers import ExecutionConfig
 from repro.workloads.flights import (
     FlightsConfig,
     bucket_flights,
@@ -34,8 +32,8 @@ QUERIES = (
 )
 
 
-def build_flights(data_dir, execution=None) -> MosaicDB:
-    db = MosaicDB(seed=23, data_dir=str(data_dir), execution=execution)
+def build_flights(data_dir) -> MosaicDB:
+    db = MosaicDB(seed=23, data_dir=str(data_dir))
     db.execute(
         "CREATE GLOBAL POPULATION Flights (carrier TEXT, taxi_out INT, "
         "taxi_in INT, elapsed_time INT, distance INT)"
@@ -93,24 +91,3 @@ def test_spawned_sessions_match_across_restart(tmp_path):
     session.close()
     np.testing.assert_array_equal(before, after)
     db2.close()
-
-
-def test_workers_scan_restored_pages_zero_copy(tmp_path):
-    # morsel_rows far below the sample size forces the morsel path; one
-    # worker process exercises the cross-process file attach.  Both runs
-    # use the same execution config: partial-aggregation order must match
-    # for float results to be bit-identical.
-    config = ExecutionConfig(processes=1, morsel_rows=64)
-    db = build_flights(tmp_path, execution=config)
-    reference = run_queries(db)
-    db.close()
-
-    db2 = MosaicDB(seed=23, data_dir=str(tmp_path), execution=config)
-    try:
-        assert_identical(reference, run_queries(db2))
-        execution = db2.cache_stats()["execution"]
-        # CLOSED scans over the restored (mmap-backed) sample went through
-        # the page file directly — never copied into /dev/shm.
-        assert execution["segment_mmap_leases"] > 0
-    finally:
-        db2.close()
