@@ -20,6 +20,7 @@ keep the groups appearing in *all* answers, and average the aggregates.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import weakref
 from contextlib import nullcontext
@@ -35,7 +36,13 @@ from repro.engine.compiler import (
     execute_plan,
     execute_plan_composite,
 )
-from repro.engine.plan import AggregateNode, LogicalPlan
+from repro.engine.plan import (
+    AggregateNode,
+    FilterNode,
+    LimitNode,
+    LogicalPlan,
+    ProjectNode,
+)
 from repro.engine.planner import PlannedSource
 from repro.errors import GenerativeModelError, VisibilityError
 from repro.generative.mswg import MSWG, MswgConfig
@@ -83,6 +90,16 @@ class OpenGenerator(Protocol):
 
     A generator may expose ``fit_report`` — a flat dict of what its last
     ``fit`` did; the engine copies it onto the ``open.fit`` trace span.
+
+    ``generate`` may also take ``until``, a predicate over each consecutive
+    row range it decodes; it then returns the prefix of the ``n``-row
+    sample up to the first range for which ``until`` is true, bit-identical
+    to those rows of the whole sample, with ``rng`` advanced as for the
+    whole sample.  The engine passes it to stop a non-aggregate query at
+    its LIMIT (:func:`_limit_met`); a generator without the parameter
+    produces its whole sample as one range.  Of the provided generators
+    only :class:`MswgGenerator` takes it — the other two are cheap enough
+    whole.
     """
 
     def fit(
@@ -141,8 +158,8 @@ class MswgGenerator:
         """What the fit did, for the ``open.fit`` span (see ``MSWG``)."""
         return self.model.fit_report
 
-    def generate(self, n, rng=None):
-        return self.model.generate(n, rng=rng)
+    def generate(self, n, rng=None, until=None):
+        return self.model.generate(n, rng=rng, until=until)
 
     def generate_batch(self, n, repetitions, rng=None):
         return self.model.generate_batch(n, repetitions, rng=rng)
@@ -423,7 +440,11 @@ def evaluate_open(
 
     Aggregates run on the chunked stream (:func:`_evaluate_open_stream`),
     except the one :func:`runs_per_repetition` shape, which takes
-    :func:`_evaluate_open_loop`.  Each repetition draws from its own RNG
+    :func:`_evaluate_open_loop`.  A non-aggregate query materialises one
+    sample of up to ``max_materialized_rows`` rows and runs its plan over
+    it; when a prefix can answer the plan (:func:`prefix_limit`),
+    generation stops at the first decoded range that meets the LIMIT, so
+    only the rows up to there exist.  Each repetition draws from its own RNG
     stream spawned off a single ``rng`` draw, so the answer is a function
     of the query, the model and the session RNG state — not of chunking.
     """
@@ -449,10 +470,11 @@ def evaluate_open(
     if not weighted:
         rows = min(int(np.ceil(population_size)), config.max_materialized_rows)
         (stream,) = repetition_streams(rng, 1)
-        generated = _apply_view(_generate(generator, rows, stream), predicate)
-        relation = execute_plan(plan, generated)
+        until = _limit_met(plan, predicate, generator)
+        generated = _generate(generator, rows, stream, until)
+        relation = execute_plan(plan, _apply_view(generated, predicate))
         notes = [
-            f"non-aggregate OPEN query: materialised one generated sample of "
+            f"non-aggregate OPEN query: generated {generated.num_rows} of up to "
             f"{rows} row(s)"
         ]
         meta = {"repetitions_used": 1}
@@ -520,11 +542,53 @@ def _kept_note(answered: int) -> str:
 
 
 def _generate(
-    generator: OpenGenerator, rows: int, stream: np.random.Generator
+    generator: OpenGenerator,
+    rows: int,
+    stream: np.random.Generator,
+    until: Callable[[Relation], bool] | None = None,
 ) -> Relation:
     """One repetition through ``generator.generate``, under its lock."""
     with _generation_lock(generator) or nullcontext():
-        return generator.generate(rows, rng=stream)
+        if until is None:
+            return generator.generate(rows, rng=stream)
+        return generator.generate(rows, rng=stream, until=until)
+
+
+def prefix_limit(plan: LogicalPlan) -> int | None:
+    """The LIMIT a prefix of the generated sample can answer, if any.
+
+    Filters, a projection without DISTINCT, then a LIMIT: the answer is the
+    first LIMIT qualifying rows in generation order, which a prefix holding
+    that many has.  A Sort or DISTINCT decides its first rows from every
+    row, and so does an aggregate; those plans return ``None``.
+    """
+    *head, last = plan.nodes
+    if isinstance(last, LimitNode) and all(
+        isinstance(node, FilterNode)
+        or (isinstance(node, ProjectNode) and not node.distinct)
+        for node in head
+    ):
+        return last.count
+    return None
+
+
+def _limit_met(
+    plan: LogicalPlan, predicate, generator: OpenGenerator
+) -> Callable[[Relation], bool] | None:
+    """The ``until`` predicate that stops generation once ``plan``'s LIMIT
+    is met, or ``None`` when the plan needs the whole sample or
+    ``generator.generate`` takes no ``until``."""
+    limit = prefix_limit(plan)
+    if limit is None or "until" not in inspect.signature(generator.generate).parameters:
+        return None
+    answered = 0
+
+    def until(rows: Relation) -> bool:
+        nonlocal answered
+        answered += execute_plan(plan, _apply_view(rows, predicate)).num_rows
+        return answered >= limit
+
+    return until
 
 
 def _generate_chunk(

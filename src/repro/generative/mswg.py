@@ -27,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from repro.generative.nn.linear import Linear
 from repro.generative.nn.sequential import Sequential
 from repro.generative.streams import repetition_streams, with_repetition_ids
 from repro.generative.training import LossTerm, TrainingHistory, train_generator
+from repro.relational.ops import union_all
 from repro.relational.relation import Relation
 
 
@@ -73,6 +75,15 @@ class MswgConfig:
 
     def with_seed(self, seed: int) -> "MswgConfig":
         return replace(self, seed=seed)
+
+
+def _doubling_ranges(n: int, first: int) -> Iterator[tuple[int, int]]:
+    """``[start, stop)`` ranges covering ``n`` rows: ``first`` rows, then
+    twice the previous range each time (the last one cut at ``n``)."""
+    start, size = 0, first
+    while start < n:
+        yield start, min(start + size, n)
+        start, size = start + size, size * 2
 
 
 def _single_column_term(loss: QuantileMatchingLoss):
@@ -282,15 +293,38 @@ class MSWG:
     # Generation
     # ------------------------------------------------------------------ #
 
-    def generate(self, n: int, rng: np.random.Generator | None = None) -> Relation:
+    def generate(
+        self,
+        n: int,
+        rng: np.random.Generator | None = None,
+        until: Callable[[Relation], bool] | None = None,
+    ) -> Relation:
         """Sample ``n`` synthetic population tuples.
 
         Categorical one-hot blocks decode to exact category values by
         argmax (the paper only forces binary output at generation time).
+
+        ``until`` makes the result a *prefix* of the ``n``-row sample.  The
+        latents of all ``n`` rows are still drawn in one call, so ``rng``
+        advances exactly as without it; they are then decoded in
+        consecutive row ranges — one :attr:`InferencePlan.CHUNK_ROWS` chunk,
+        then doubling — and ``until`` sees each decoded range in order.
+        Generation stops after the first range for which it returns true.
+        The plan multiplies one fixed chunk shape and decoding is row by
+        row, so the prefix is the first rows of the full sample, bit for
+        bit, and no row is decoded twice.
         """
         self._check_generate(n)
         rng = rng if rng is not None else self._rng
-        return self._decode_latents(rng.normal(size=(n, self._latent_dim)))
+        latents = rng.normal(size=(n, self._latent_dim))
+        if until is None:
+            return self._decode_latents(latents)
+        ranges = []
+        for start, stop in _doubling_ranges(n, InferencePlan.CHUNK_ROWS):
+            ranges.append(self._decode_latents(latents[start:stop]))
+            if until(ranges[-1]):
+                break
+        return union_all(ranges)
 
     def generate_batch(
         self,

@@ -12,7 +12,7 @@ on.  It deliberately mirrors a tiny slice of a real column store:
 - :mod:`repro.relational.aggregates` — weighted and unweighted aggregates
   (``COUNT(*) -> SUM(weight)`` rewriting lives here).
 - :mod:`repro.relational.groupby` / ``ops`` — group-by, filter, project,
-  union, join, sort, distinct.
+  union, sort, distinct.
 """
 
 from repro.relational.dtypes import DType

@@ -1,4 +1,4 @@
-"""Relational operators: filter, project, union, join, distinct, limit.
+"""Relational operators: filter, project, union, distinct, limit.
 
 These are the physical operators the query engine composes.  Each takes and
 returns :class:`~repro.relational.relation.Relation` values; none mutates
@@ -72,66 +72,7 @@ def distinct(relation: Relation, keys: Sequence[str] | None = None) -> Relation:
     return relation.take(np.sort(indices))
 
 
-def hash_join(
-    left: Relation,
-    right: Relation,
-    left_key: str,
-    right_key: str,
-    suffix: str = "_right",
-) -> Relation:
-    """Inner equi-join on one key column per side.
-
-    Right-side columns whose names collide with left-side names get
-    ``suffix`` appended (the join key from the right is dropped, since it
-    equals the left key on every output row).
-    """
-    left.schema.field(left_key)
-    right.schema.field(right_key)
-
-    buckets: dict[object, list[int]] = {}
-    right_values = right.column(right_key)
-    for i in range(right.num_rows):
-        buckets.setdefault(_hashable(right_values[i]), []).append(i)
-
-    left_indices: list[int] = []
-    right_indices: list[int] = []
-    left_values = left.column(left_key)
-    for i in range(left.num_rows):
-        for j in buckets.get(_hashable(left_values[i]), ()):
-            left_indices.append(i)
-            right_indices.append(j)
-
-    left_out = left.take(np.asarray(left_indices, dtype=np.int64))
-    right_out = right.take(np.asarray(right_indices, dtype=np.int64)).drop_column(right_key)
-
-    rename: dict[str, str] = {}
-    for name in right_out.column_names:
-        if name in left_out.schema:
-            rename[name] = f"{name}{suffix}"
-    right_out = right_out.rename(rename) if rename else right_out
-
-    schema = left_out.schema.concat(right_out.schema)
-    columns = {name: left_out.column(name) for name in left_out.column_names}
-    columns.update({name: right_out.column(name) for name in right_out.column_names})
-    # take()/rename() above already sliced each side's dictionary encodings;
-    # column names are unique post-suffix, so both sides' encodings carry
-    # straight into the stitched relation.
-    encodings = {
-        name: entry
-        for side in (left_out, right_out)
-        for name, entry in ((n, side.encoding(n)) for n in side.column_names)
-        if entry is not None
-    }
-    return Relation(schema, columns, encodings=encodings)
-
-
 def limit(relation: Relation, n: int) -> Relation:
     if n < 0:
         raise SchemaError(f"LIMIT must be non-negative, got {n}")
     return relation.head(n)
-
-
-def _hashable(value) -> object:
-    if isinstance(value, np.generic):
-        return value.item()
-    return value

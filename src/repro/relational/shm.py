@@ -317,22 +317,13 @@ def share_relation(
     return SharedRelationHandle(shm, descriptor)
 
 
-def attach_relation(
-    descriptor: RelationDescriptor, window: tuple[int, int] | None = None
-) -> AttachedRelation:
+def attach_relation(descriptor: RelationDescriptor) -> AttachedRelation:
     """Map a shared segment and rebuild the relation over it (O(1) in rows).
 
     Numeric columns and code buffers are zero-copy read-only views; TEXT
     object columns are *lazy* — plan execution works in code space, so
     the ``vocab[codes]`` gather only runs if a caller asks for the object
     array (see :class:`_LazyTextColumns`).
-
-    ``window=(start, stop)`` attaches only that row range: numeric views
-    point into the segment at the window offset and the TEXT gather runs
-    over the window's codes alone, so attaching a window pays for the
-    window — not for the whole relation.  Extras are windowed the
-    same way.  Codes still index the full shared vocab, so dictionary
-    encodings stay consistent with whole-relation domain layouts.
 
     A descriptor with ``path`` set maps the durable page file instead of a
     ``/dev/shm`` segment — byte-identical slot layout, so everything below
@@ -342,20 +333,10 @@ def attach_relation(
         shm = _FileSegment(descriptor.path)
     else:
         shm = _attach_segment(descriptor.segment)
-    start, stop = (0, descriptor.num_rows) if window is None else window
-    if not 0 <= start <= stop <= descriptor.num_rows:
-        shm.close()
-        raise MosaicError(
-            f"attach window [{start}, {stop}) outside relation of "
-            f"{descriptor.num_rows} rows"
-        )
-    n = stop - start
+    n = descriptor.num_rows
 
     def view(dtype: str, offset: int) -> np.ndarray:
-        spec = np.dtype(dtype)
-        array = np.ndarray(
-            n, dtype=spec, buffer=shm.buf, offset=offset + start * spec.itemsize
-        )
+        array = np.ndarray(n, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset)
         array.flags.writeable = False
         return array
 

@@ -231,7 +231,14 @@ class _Parser:
         limit: int | None = None
         if self.accept_keyword("LIMIT"):
             token = self.expect(TokenType.NUMBER)
-            limit = int(token.value)
+            try:
+                limit = int(token.value)
+            except ValueError:
+                raise SqlSyntaxError(
+                    f"LIMIT needs a non-negative integer, found {token.value!r}",
+                    token.line,
+                    token.column,
+                ) from None
 
         query = SelectQuery(
             items=tuple(items),

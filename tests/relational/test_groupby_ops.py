@@ -10,7 +10,6 @@ from repro.relational.groupby import group_rows
 from repro.relational.ops import (
     distinct,
     filter_rows,
-    hash_join,
     limit,
     project_expressions,
     union_all,
@@ -102,32 +101,6 @@ class TestOperators:
         assert limit(rel, 2).num_rows == 2
         with pytest.raises(SchemaError):
             limit(rel, -1)
-
-
-class TestHashJoin:
-    def test_basic_join(self):
-        left = Relation.from_dict({"k": ["a", "b", "c"], "lv": [1, 2, 3]})
-        right = Relation.from_dict({"k2": ["a", "b", "b"], "rv": [10, 20, 30]})
-        out = hash_join(left, right, "k", "k2")
-        assert out.num_rows == 3
-        pairs = sorted(zip(out.column("lv").tolist(), out.column("rv").tolist()))
-        assert pairs == [(1, 10), (2, 20), (2, 30)]
-
-    def test_name_collision_suffix(self):
-        left = Relation.from_dict({"k": ["a"], "v": [1]})
-        right = Relation.from_dict({"k": ["a"], "v": [9]})
-        out = hash_join(left, right, "k", "k")
-        assert set(out.column_names) == {"k", "v", "v_right"}
-
-    def test_no_matches(self):
-        left = Relation.from_dict({"k": ["a"], "v": [1]})
-        right = Relation.from_dict({"k": ["z"], "w": [9]})
-        assert hash_join(left, right, "k", "k").num_rows == 0
-
-    def test_unknown_key_raises(self):
-        left = Relation.from_dict({"k": ["a"]})
-        with pytest.raises(SchemaError):
-            hash_join(left, left, "nope", "k")
 
 
 class TestCsvIo:

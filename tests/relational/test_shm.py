@@ -126,36 +126,6 @@ class TestRoundTrip:
         with pytest.raises(SchemaError):
             share_relation(rel, extras={"__weights__": np.ones(rel.num_rows + 1)})
 
-    def test_windowed_attach_sees_exactly_the_row_range(self, rel):
-        handle = share_relation(rel, extras={"__weights__": np.arange(5.0)})
-        try:
-            attached = attach_relation(handle.descriptor, window=(1, 4))
-            try:
-                window = attached.relation
-                expected = rel.slice_rows(1, 4)
-                assert window.num_rows == 3
-                for name in rel.column_names:
-                    ours, theirs = expected.column(name), window.column(name)
-                    if ours.dtype == object:
-                        assert list(ours) == list(theirs)
-                    else:
-                        assert ours.tobytes() == theirs.tobytes()
-                vocab, codes = window.encoding("tag")
-                assert list(vocab[codes]) == list(expected.column("tag"))
-                assert attached.extras["__weights__"].tolist() == [1.0, 2.0, 3.0]
-            finally:
-                attached.close()
-        finally:
-            handle.release()
-
-    def test_windowed_attach_rejects_out_of_bounds(self, rel):
-        handle = share_relation(rel)
-        try:
-            with pytest.raises(MosaicError):
-                attach_relation(handle.descriptor, window=(2, 6))
-        finally:
-            handle.release()
-
     def test_attached_views_are_read_only(self, rel):
         handle = share_relation(rel)
         try:

@@ -24,6 +24,7 @@ from repro.errors import (
     QueryTimeoutError,
     ServerError,
     SessionClosedError,
+    SqlSyntaxError,
     UnknownRelationError,
 )
 from repro.client import Client, Connection
@@ -465,6 +466,14 @@ class TestErrorTransport:
             with pytest.raises(UnknownRelationError) as excinfo:
                 conn.execute("SELECT CLOSED COUNT(*) AS n FROM Ghost")
             assert excinfo.value.name == "Ghost"
+
+    @pytest.mark.parametrize("literal", ["1.5", "1e3"])
+    def test_non_integer_limit_arrives_as_a_syntax_error(self, tiny_server, literal):
+        server, _ = tiny_server
+        with Connection("127.0.0.1", server.port) as conn:
+            with pytest.raises(SqlSyntaxError) as excinfo:
+                conn.execute(f"SELECT CLOSED country FROM EuropeMigrants LIMIT {literal}")
+            assert (excinfo.value.line, excinfo.value.column) == (1, 49)
 
     def test_cancelled_flag_has_wire_type(self):
         # QueryCancelledError reaches clients through the same transport.

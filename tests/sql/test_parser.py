@@ -64,6 +64,12 @@ class TestSelect:
         assert q.order_by[1].column == "b" and q.order_by[1].ascending
         assert q.limit == 5
 
+    @pytest.mark.parametrize("literal", ["1.5", "1e3", ".5"])
+    def test_non_integer_limit_is_a_typed_syntax_error(self, literal):
+        with pytest.raises(SqlSyntaxError, match="LIMIT needs") as excinfo:
+            parse_statement(f"SELECT CLOSED carrier FROM Flights\nLIMIT {literal}")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 7)
+
     def test_distinct(self):
         q = parse_statement("SELECT DISTINCT tag FROM t")
         assert q.distinct

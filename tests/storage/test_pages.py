@@ -147,22 +147,3 @@ def test_extra_validation(tmp_path):
             relation,
             {"w": np.asarray(["x"] * 10, dtype=object)},
         )
-
-
-def test_window_attach_matches_slice(tmp_path):
-    from repro.relational.shm import attach_relation
-
-    relation = sample_relation(100)
-    path = tmp_path / "t.page"
-    write_page(path, relation)
-    descriptor = read_descriptor(path)
-    attached = attach_relation(descriptor, window=(25, 75))
-    try:
-        np.testing.assert_array_equal(
-            attached.relation.column("pop"), relation.column("pop")[25:75]
-        )
-        np.testing.assert_array_equal(
-            attached.relation.column("city"), relation.column("city")[25:75]
-        )
-    finally:
-        attached.close()
