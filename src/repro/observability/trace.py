@@ -14,7 +14,7 @@ pays only an env read and a counter bump.  ``1`` traces everything,
 ``0`` disables tracing entirely.  The default (:data:`DEFAULT_SAMPLE`)
 traces one query in 64 — always-on visibility whose p50 cost on the
 CLOSED hot path is zero, because the median query runs the untraced
-path (the <3% budget asserted in ``BENCH_server.json``).
+path (mosaicbench's ``closed_p50_ms`` cells run at this default).
 
 ``EXPLAIN ANALYZE`` bypasses sampling: the user asked for the trace.
 """

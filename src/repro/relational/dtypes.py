@@ -112,15 +112,7 @@ class DType(enum.Enum):
                 out[:] = [str(v) for v in arr]
                 return out
             if self is DType.INT:
-                if np.issubdtype(arr.dtype, np.integer):
-                    # Already integral: no float64 round-trip, which would
-                    # silently truncate magnitudes beyond 2**53.
-                    return arr.astype(np.int64)
-                as_float = arr.astype(np.float64)
-                as_int = as_float.astype(np.int64)
-                if not np.all(as_float == as_int):
-                    raise TypeMismatchError("non-integral value in INT column")
-                return as_int
+                return _int_array(values, arr)
             if self is DType.FLOAT:
                 return arr.astype(np.float64)
             return arr.astype(np.bool_)
@@ -134,12 +126,64 @@ class DType(enum.Enum):
         if self is DType.BOOL:
             return bool(value)
         if self is DType.INT:
-            as_float = float(value)
-            as_int = int(as_float)
-            if as_float != as_int:
-                raise TypeMismatchError(f"non-integral value for INT column: {value!r}")
-            return as_int
+            try:
+                return _exact_int(value)
+            except (ValueError, TypeError) as exc:
+                raise TypeMismatchError(f"cannot coerce {value!r} to INT: {exc}") from exc
         return float(value)
+
+
+_INT_MIN, _INT_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _int_array(values: Any, arr: np.ndarray) -> np.ndarray:
+    """``values`` (already ``np.asarray``-ed as ``arr``) as exact int64s.
+
+    No value takes a float64 round trip it did not arrive in (which would
+    drop the low bits of magnitudes beyond 2**53), and nothing reaches a
+    cast that could overflow and warn.
+    """
+    if np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_:
+        if arr.dtype == np.uint64 and arr.size and arr.max() > _INT_MAX:
+            raise _out_of_range(int(arr.max()))
+        return arr.astype(np.int64)
+    if isinstance(values, np.ndarray) and np.issubdtype(arr.dtype, np.floating):
+        integral = np.isfinite(arr) & (arr == np.trunc(arr))
+        if not integral.all():
+            raise _non_integral(float(arr[~integral][0]))
+        outside = (arr < _INT_MIN) | (arr >= 2.0**63)
+        if outside.any():
+            raise _out_of_range(float(arr[outside][0]))
+        return arr.astype(np.int64)
+    # Python values, which np.asarray may have widened to float64 or kept as
+    # objects: convert each one exactly.
+    exact = np.asarray(values, dtype=object).ravel()
+    out = np.empty(exact.shape[0], dtype=np.int64)
+    out[:] = [_exact_int(value) for value in exact]
+    return out
+
+
+def _exact_int(value: Any) -> int:
+    if isinstance(value, (int, np.integer)):
+        result = int(value)
+    else:
+        as_float = float(value)
+        if not as_float.is_integer():
+            raise _non_integral(value)
+        result = int(as_float)
+    if not _INT_MIN <= result <= _INT_MAX:
+        raise _out_of_range(value)
+    return result
+
+
+def _non_integral(value: Any) -> TypeMismatchError:
+    return TypeMismatchError(f"non-integral value for INT column: {value!r}")
+
+
+def _out_of_range(value: Any) -> TypeMismatchError:
+    return TypeMismatchError(
+        f"value {value!r} is outside the INT range [{_INT_MIN}, {_INT_MAX}]"
+    )
 
 
 _NUMPY_DTYPES: dict[DType, np.dtype] = {

@@ -8,148 +8,136 @@ Supports:
 - operators ``= != <> < <= > >= + - * / %``,
 - punctuation ``( ) , ;`` and ``*``,
 - ``--`` line comments.
+
+One compiled pattern scans a lexeme at a time.  Right after ``VALUES`` a
+second one matches every well-formed row at once, emitted as one ``ROWS``
+token carrying the decoded rows; whatever it does not match lexes token by
+token, so malformed INSERTs fail as before (ARCHITECTURE.md §1).
 """
 
 from __future__ import annotations
 
+import re
+from typing import Any
+
 from repro.errors import SqlSyntaxError
 from repro.sql.tokens import KEYWORDS, Token, TokenType
 
-_OPERATOR_CHARS = frozenset("=!<>+-/%")
+# ``\d`` is a Unicode *decimal* digit, exactly what int() and float() accept.
+_NUMBER = r"(?>\d+(?:\.\d*)?|\.\d+)(?>[eE][+-]?\d+)?"
+_STRING = r"'(?:[^']|'')*+'"
+_SKIP = r"(?:[ \t\r\n]|--[^\n]*)*+"
+
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|--[^\n]*)"
+    rf"|(?P<number>{_NUMBER})"
+    r"|(?P<word>[^\W\d]\w*)"
+    rf"|(?P<string>{_STRING})"
+    r"|(?P<operator>!=|<>|<=|>=|[=<>+\-/%])"
+    r"|(?P<punct>[(),;*])"
+)
+
+_LITERAL = rf"(?:-{_SKIP}{_NUMBER}|{_NUMBER}|{_STRING}|(?i:true|false)(?!\w))"
+_ROW = rf"\({_SKIP}{_LITERAL}(?:{_SKIP},{_SKIP}{_LITERAL})*+{_SKIP}\)"
+_ROWS = re.compile(rf"{_ROW}(?:{_SKIP},{_SKIP}{_ROW})*+")
+
+# The items of a span _ROWS matched, each with the separators before it: a
+# signed number, a string, a TRUE/FALSE word, or the ``)`` closing a row.
+_ROW_ITEM = re.compile(
+    rf"(?:[ \t\r\n,(]|--[^\n]*)*+(?:(-?){_SKIP}({_NUMBER})|({_STRING})|(\w+)|(\)))"
+)
+
+_PUNCTUATION = {
+    "(": TokenType.LPAREN, ")": TokenType.RPAREN, ",": TokenType.COMMA,
+    ";": TokenType.SEMICOLON, "*": TokenType.STAR,
+}
+_VALUES = (TokenType.KEYWORD, "VALUES")
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex ``text`` into tokens, ending with a single EOF token."""
     tokens: list[Token] = []
-    line, column = 1, 1
-    i, n = 0, len(text)
+    append = tokens.append
+    match = _TOKEN.match
+    line, line_start = 1, 0  # line_start: offset of the current line's first char
+    pos, n = 0, len(text)
 
-    def advance(count: int) -> None:
-        nonlocal i, line, column
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            i += 1
+    while pos < n:
+        m = match(text, pos)
+        column = pos - line_start + 1
+        if m is None:
+            char = text[pos]
+            if char == "'":
+                raise SqlSyntaxError("unterminated string literal", line, column)
+            raise SqlSyntaxError(f"unexpected character {char!r}", line, column)
+        kind = m.lastgroup
+        end = m.end()
 
-    while i < n:
-        char = text[i]
-
-        if char in " \t\r\n":
-            advance(1)
-            continue
-
-        if char == "-" and i + 1 < n and text[i + 1] == "-":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-
-        start_line, start_column = line, column
-
-        if char == "'":
-            value, length = _read_string(text, i, start_line, start_column)
-            tokens.append(Token(TokenType.STRING, value, start_line, start_column))
-            advance(length)
-            continue
-
-        if char.isdigit() or (char == "." and i + 1 < n and text[i + 1].isdigit()):
-            value, length = _read_number(text, i)
-            tokens.append(Token(TokenType.NUMBER, value, start_line, start_column))
-            advance(length)
-            continue
-
-        if char.isalpha() or char == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        if kind == "word":
+            word = m.group()
+            if not (word[0].isalpha() or word[0] == "_"):
+                # A non-decimal digit such as '²': int() would reject it.
+                raise SqlSyntaxError(f"unexpected character {word[0]!r}", line, column)
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start_line, start_column))
+                append(Token(TokenType.KEYWORD, upper, line, column))
             else:
-                tokens.append(Token(TokenType.IDENT, word, start_line, start_column))
-            advance(j - i)
-            continue
+                append(Token(TokenType.IDENT, word, line, column))
+        elif kind == "number":
+            append(Token(TokenType.NUMBER, m.group(), line, column))
+        elif kind == "operator":
+            append(Token(TokenType.OPERATOR, m.group(), line, column))
+        elif kind == "punct":
+            char = m.group()
+            rows = _scan_rows(text, pos) if tokens and tokens[-1][:2] == _VALUES else None
+            if rows is None:
+                append(Token(_PUNCTUATION[char], char, line, column))
+            else:
+                end, values = rows
+                append(Token(TokenType.ROWS, values, line, column))
+        elif kind == "string":
+            append(Token(TokenType.STRING, _unquote(m.group()), line, column))
 
-        if char == "(":
-            tokens.append(Token(TokenType.LPAREN, "(", start_line, start_column))
-            advance(1)
-            continue
-        if char == ")":
-            tokens.append(Token(TokenType.RPAREN, ")", start_line, start_column))
-            advance(1)
-            continue
-        if char == ",":
-            tokens.append(Token(TokenType.COMMA, ",", start_line, start_column))
-            advance(1)
-            continue
-        if char == ";":
-            tokens.append(Token(TokenType.SEMICOLON, ";", start_line, start_column))
-            advance(1)
-            continue
-        if char == "*":
-            tokens.append(Token(TokenType.STAR, "*", start_line, start_column))
-            advance(1)
-            continue
+        if kind == "skip" or kind == "string" or kind == "punct":  # may span lines
+            newline = text.rfind("\n", pos, end)
+            if newline >= 0:
+                line += text.count("\n", pos, end)
+                line_start = newline + 1
+        pos = end
 
-        if char in _OPERATOR_CHARS:
-            two = text[i : i + 2]
-            if two in ("!=", "<>", "<=", ">="):
-                tokens.append(Token(TokenType.OPERATOR, two, start_line, start_column))
-                advance(2)
-                continue
-            if char == "!":
-                raise SqlSyntaxError("unexpected character '!'", start_line, start_column)
-            tokens.append(Token(TokenType.OPERATOR, char, start_line, start_column))
-            advance(1)
-            continue
-
-        raise SqlSyntaxError(f"unexpected character {char!r}", start_line, start_column)
-
-    tokens.append(Token(TokenType.EOF, "", line, column))
+    tokens.append(Token(TokenType.EOF, "", line, pos - line_start + 1))
     return tokens
 
 
-def _read_string(text: str, start: int, line: int, column: int) -> tuple[str, int]:
-    """Read a single-quoted string starting at ``text[start]``.
+def _scan_rows(text: str, pos: int) -> tuple[int, tuple[tuple[Any, ...], ...]] | None:
+    """``(end, rows)`` for the well-formed rows starting at ``text[pos]``."""
+    matched = _ROWS.match(text, pos)
+    if matched is None:
+        return None
+    rows: list[tuple[Any, ...]] = []
+    row: list[Any] = []
+    for sign, number, string, word, close in _ROW_ITEM.findall(text, pos, matched.end()):
+        if number:
+            value = parse_number(number)
+            row.append(-value if sign else value)
+        elif string:
+            row.append(_unquote(string))
+        elif close:
+            rows.append(tuple(row))
+            row = []
+        elif word:
+            # Every character (?i:true|false) accepts (ſ included) upper-cases
+            # to its ASCII letter, so this agrees with the keyword table.
+            row.append(word.upper() == "TRUE")
+    return matched.end(), tuple(rows)
 
-    Returns ``(value, consumed_length)``; ``''`` inside the string is an
-    escaped quote.
-    """
-    i = start + 1
-    n = len(text)
-    out: list[str] = []
-    while i < n:
-        char = text[i]
-        if char == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                out.append("'")
-                i += 2
-                continue
-            return "".join(out), i - start + 1
-        out.append(char)
-        i += 1
-    raise SqlSyntaxError("unterminated string literal", line, column)
+
+def _unquote(lexeme: str) -> str:
+    return lexeme[1:-1].replace("''", "'")
 
 
-def _read_number(text: str, start: int) -> tuple[str, int]:
-    """Read a numeric literal. Supports ``123``, ``1.5``, ``.5``, ``1e-7``."""
-    i = start
-    n = len(text)
-    while i < n and text[i].isdigit():
-        i += 1
-    if i < n and text[i] == ".":
-        i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-    if i < n and text[i] in "eE":
-        j = i + 1
-        if j < n and text[j] in "+-":
-            j += 1
-        if j < n and text[j].isdigit():
-            i = j
-            while i < n and text[i].isdigit():
-                i += 1
-    return text[start:i], i - start
+def parse_number(text: str) -> int | float:
+    """The value of a NUMBER lexeme: a float if it has a point or exponent."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)

@@ -35,7 +35,7 @@ from repro.sql.ast_nodes import (
     Statement,
     UpdateWeights,
 )
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import parse_number, tokenize
 from repro.sql.tokens import Token, TokenType
 
 _AGGREGATE_KEYWORDS = frozenset(["COUNT", "SUM", "AVG", "MIN", "MAX"])
@@ -407,7 +407,12 @@ class _Parser:
         self.expect_keyword("INTO")
         table = self.expect_name()
         self.expect_keyword("VALUES")
-        rows = [self._parse_value_row()]
+        # The lexer hands every well-formed row over as one ROWS token; rows
+        # after it (a malformed tail) parse token by token for the error.
+        if self.at(TokenType.ROWS):
+            rows = list(self.advance().value)
+        else:
+            rows = [self._parse_value_row()]
         while self.accept(TokenType.COMMA):
             rows.append(self._parse_value_row())
         return Insert(table=table, rows=tuple(rows))
@@ -425,7 +430,7 @@ class _Parser:
         token = self.current
         if token.type is TokenType.NUMBER:
             self.advance()
-            value = _parse_number(token.value)
+            value = parse_number(token.value)
             return -value if negative else value
         if negative:
             raise SqlSyntaxError("expected a number after '-'", token.line, token.column)
@@ -564,7 +569,7 @@ class _Parser:
         token = self.current
         if token.type is TokenType.NUMBER:
             self.advance()
-            return Literal(_parse_number(token.value))
+            return Literal(parse_number(token.value))
         if token.type is TokenType.STRING:
             self.advance()
             return Literal(token.value)
@@ -591,8 +596,3 @@ class _Parser:
             token.column,
         )
 
-
-def _parse_number(text: str) -> int | float:
-    if any(c in text for c in ".eE"):
-        return float(text)
-    return int(text)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -17,6 +17,7 @@ class TokenType(enum.Enum):
     COMMA = "COMMA"
     SEMICOLON = "SEMICOLON"
     STAR = "STAR"  # '*' (doubles as multiplication; parser disambiguates)
+    ROWS = "ROWS"  # a whole INSERT ... VALUES row list; value = tuple of row tuples
     EOF = "EOF"
 
 
@@ -38,12 +39,11 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexed token with its 1-based source position."""
 
     type: TokenType
-    value: str
+    value: Any  # the lexeme as a str; a ROWS token carries the decoded rows
     line: int
     column: int
 

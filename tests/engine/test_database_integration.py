@@ -4,6 +4,8 @@ Covers the paper's Sec. 2 motivating example end to end: DDL, ingestion,
 metadata, and CLOSED / SEMI-OPEN / OPEN queries over the migrants scenario.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.engine.open_world import IPFSynthesizer, OpenQueryConfig
 from repro.errors import (
     CatalogError,
     SqlCompileError,
+    SqlSyntaxError,
+    TypeMismatchError,
     UnknownRelationError,
     VisibilityError,
 )
@@ -124,6 +128,38 @@ class TestSampleIngestion:
     def test_sql_insert_into_sample(self, db):
         db.execute("INSERT INTO YahooMigrants VALUES ('UK', 'Yahoo'), ('FR', 'Yahoo')")
         assert db.catalog.sample("YahooMigrants").num_rows == 2
+
+    def test_insert_out_of_int_range_names_the_range_without_warning(self, db):
+        db.execute("CREATE TABLE Counts (n INT)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeMismatchError, match="outside the INT range"):
+                db.execute("INSERT INTO Counts VALUES (99999999999999999999)")
+        assert db.execute("SELECT * FROM Counts").num_rows == 0
+
+    def test_insert_int_beside_a_float_keeps_every_bit(self, db):
+        db.execute("CREATE TABLE Counts (n INT)")
+        db.execute("INSERT INTO Counts VALUES (9007199254740993), (2.0)")
+        values = db.execute("SELECT * FROM Counts").column("n").tolist()
+        assert values == [9007199254740993, 2]
+
+    @pytest.mark.parametrize(
+        "sql, column",
+        [
+            ("INSERT INTO Counts VALUES (²)", 28),
+            ("SELECT CLOSED n FROM Counts WHERE n = ²", 39),
+        ],
+    )
+    def test_non_decimal_digit_is_a_syntax_error(self, db, sql, column):
+        db.execute("CREATE TABLE Counts (n INT)")
+        with pytest.raises(SqlSyntaxError, match="unexpected character '²'") as excinfo:
+            db.execute(sql)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_other_script_decimal_digits_still_parse(self, db):
+        db.execute("CREATE TABLE Counts (n INT)")
+        db.execute("INSERT INTO Counts VALUES (٣), (-٤٢)")
+        assert db.execute("SELECT * FROM Counts").column("n").tolist() == [3, -42]
 
     def test_update_weights(self, db):
         db.ingest_rows("YahooMigrants", [("UK", "Yahoo"), ("FR", "Yahoo")])

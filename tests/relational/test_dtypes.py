@@ -1,10 +1,14 @@
 """Unit tests for the logical type system."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.errors import TypeMismatchError
 from repro.relational.dtypes import DType, common_numeric_type
+
+_INT_RANGE = r"outside the INT range \[-9223372036854775808, 9223372036854775807\]"
 
 
 class TestParse:
@@ -68,6 +72,41 @@ class TestCoerceArray:
         with pytest.raises(TypeMismatchError):
             DType.INT.coerce_array(["a"])
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [99999999999999999999],
+            [2**63],
+            [2**63, -1],
+            [-(2**63) - 1],
+            [1e20, 2.0],
+            np.array([2**63], dtype=np.uint64),
+            np.array([-1e19]),
+        ],
+        ids=["huge", "int64_max_plus_1", "mixed_sign", "below_min", "float", "uint64", "ndarray"],
+    )
+    def test_int_out_of_range_names_the_range_without_warning(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeMismatchError, match=_INT_RANGE):
+                DType.INT.coerce_array(values)
+
+    def test_int_keeps_the_int64_extremes(self):
+        out = DType.INT.coerce_array([-(2**63), 2**63 - 1])
+        assert out.tolist() == [-(2**63), 2**63 - 1]
+
+    def test_int_mixed_with_floats_converts_exactly(self):
+        # np.asarray would widen this list to float64 and lose the low bit.
+        out = DType.INT.coerce_array([9007199254740993, 2.0])
+        assert out.tolist() == [9007199254740993, 2]
+
+    @pytest.mark.parametrize("values", [[float("nan")], [float("inf")], np.array([0.5, np.nan])])
+    def test_int_rejects_non_finite_and_fractional_without_warning(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeMismatchError, match="non-integral"):
+                DType.INT.coerce_array(values)
+
     def test_text_stringifies_everything(self):
         out = DType.TEXT.coerce_array([1, "b", 2.5])
         assert out.tolist() == ["1", "b", "2.5"]
@@ -89,6 +128,18 @@ class TestCoerceScalar:
     def test_int_fractional_raises(self):
         with pytest.raises(TypeMismatchError):
             DType.INT.coerce_scalar(3.5)
+
+    def test_int_is_exact_beyond_two_to_the_53(self):
+        assert DType.INT.coerce_scalar(9007199254740993) == 9007199254740993
+
+    @pytest.mark.parametrize("value", [99999999999999999999, 2**63, 1e20])
+    def test_int_out_of_range_names_the_range(self, value):
+        with pytest.raises(TypeMismatchError, match="outside the INT range"):
+            DType.INT.coerce_scalar(value)
+
+    def test_int_unparseable_is_typed(self):
+        with pytest.raises(TypeMismatchError):
+            DType.INT.coerce_scalar("x")
 
     def test_text(self):
         assert DType.TEXT.coerce_scalar(12) == "12"

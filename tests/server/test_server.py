@@ -475,6 +475,20 @@ class TestErrorTransport:
                 conn.execute(f"SELECT CLOSED country FROM EuropeMigrants LIMIT {literal}")
             assert (excinfo.value.line, excinfo.value.column) == (1, 49)
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT CLOSED country FROM EuropeMigrants WHERE country = ²",
+            "INSERT INTO EuropeMigrants VALUES (²)",
+        ],
+    )
+    def test_non_decimal_digit_arrives_as_a_syntax_error(self, tiny_server, sql):
+        server, _ = tiny_server
+        with Connection("127.0.0.1", server.port) as conn:
+            with pytest.raises(SqlSyntaxError, match="unexpected character") as excinfo:
+                conn.execute(sql)
+            assert (excinfo.value.line, excinfo.value.column) == (1, sql.index("²") + 1)
+
     def test_cancelled_flag_has_wire_type(self):
         # QueryCancelledError reaches clients through the same transport.
         from repro.errors import error_from_wire, error_to_wire
