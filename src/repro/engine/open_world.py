@@ -54,7 +54,6 @@ from repro.generative.streams import (
     with_repetition_ids,
 )
 from repro.relational.dtypes import DType, object_array
-from repro.relational.groupby import group_codes
 from repro.relational.kernels import CompositeAggregates, WelfordMoments
 from repro.relational.ops import union_all
 from repro.relational.relation import Relation
@@ -736,7 +735,7 @@ class _SurvivingGroups:
 
     Chunks are matched by *key rows*, not by a shared cell domain: the
     surviving set only shrinks, so each merge is one ``concat`` +
-    :func:`group_codes` over at most ``G + g`` representative rows —
+    :meth:`Relation.group_codes` over at most ``G + g`` representative rows —
     whatever the key types.  Group order stays key-sorted throughout (the
     order the composite kernels emit within a chunk and ``group_codes``
     assigns across the union), which is the order of the combined answer.
@@ -765,8 +764,8 @@ class _SurvivingGroups:
             self.moments = [WelfordMoments(cells.size) for _ in specs]
         else:
             held = self.rows.num_rows
-            codes, _, _ = group_codes(
-                self.rows.concat(rows), self.aggregate_node.group_keys
+            codes, _, _ = self.rows.concat(rows).group_codes(
+                self.aggregate_node.group_keys
             )
             _, mine, theirs = np.intersect1d(
                 codes[:held], codes[held:], assume_unique=True, return_indices=True
@@ -927,7 +926,7 @@ def combine_open_answers(answers: list[Relation], key_columns: list[str]) -> Rel
 
     Vectorized over dictionary codes: the answers (each with distinct key
     combinations, as GROUP BY outputs are) are unioned into one relation,
-    :func:`~repro.relational.groupby.group_codes` assigns each key
+    :meth:`~repro.relational.relation.Relation.group_codes` assigns each key
     combination a dense id, and a key survives iff its id occurs in every
     answer — i.e. its occurrence count equals ``len(answers)``.  Aggregates
     average with one ``np.bincount`` per value column; no per-row Python
@@ -949,7 +948,7 @@ def combine_open_answers(answers: list[Relation], key_columns: list[str]) -> Rel
     if combined.num_rows == 0:
         return Relation.empty(out_schema)
 
-    codes, num_groups, first_indices = group_codes(combined, list(key_columns))
+    codes, num_groups, first_indices = combined.group_codes(key_columns)
     counts = np.bincount(codes, minlength=num_groups)
     kept = counts == repetitions
 

@@ -5,8 +5,8 @@ used to sit at the bottom of every visibility path.  All groups are reduced
 at once:
 
 - COUNT / SUM / AVG use ``np.bincount`` over the dense group codes produced
-  by :func:`repro.relational.groupby.group_codes` (weighted variants bincount
-  ``w`` and ``w * value``),
+  by :meth:`repro.relational.relation.Relation.group_codes` (weighted
+  variants bincount ``w`` and ``w * value``),
 - MIN / MAX sort rows by group code once per call — one stable order shared
   by every MIN/MAX spec, see :func:`~repro.relational.groupby.stable_group_order`
   — and apply ``ufunc.reduceat`` at the segment starts,
@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import ColumnRef
-from repro.relational.groupby import group_codes, stable_group_order
+from repro.relational.groupby import stable_group_order
 from repro.relational.relation import Relation, compact_codes
 from repro.relational.schema import Schema
 
@@ -87,7 +87,7 @@ def grouped_aggregate(
     if not group_keys:
         return _ungrouped_aggregate(relation, specs, out_schema, weights, sel)
 
-    codes, num_groups, first_indices = group_codes(relation, group_keys)
+    codes, num_groups, first_indices = relation.group_codes(group_keys)
     if sel is not None:
         # Groups with no selected row "do not exist": compact the code
         # space to the present groups (key representatives keep their
@@ -361,7 +361,7 @@ def grouped_aggregate_composite(
     MIN/MAX reduce over positively weighted rows only.
     """
     n = relation.num_rows
-    codes, num_groups, first_indices = group_codes(relation, group_keys)
+    codes, num_groups, first_indices = relation.group_codes(group_keys)
     if weights.shape[0] != n:
         raise SchemaError(
             f"weight vector length {weights.shape[0]} does not match row count {n}"

@@ -13,12 +13,20 @@ alongside the object array, the relation carries ``(vocab, codes)`` where
 ``int32`` array with ``vocab[codes[i]] == column[i]``.  The encoding is
 built exactly once at ingest (:meth:`from_columns` / :meth:`from_rows` /
 :meth:`from_codes`) and then *sliced* — never recomputed — through
-:meth:`filter`, :meth:`take`, :meth:`project`, :meth:`rename`, and
-:meth:`with_column`; :meth:`concat` merges the two vocabularies and remaps
-codes without decoding.  Scan-level predicates and the group-by kernels
-evaluate against the vocab (k distinct values) and broadcast through the
-codes, so repeated filter + group-by over the same stored tuples never
-touches the object array.
+:meth:`filter`, :meth:`take`, :meth:`project`, and :meth:`with_column`;
+:meth:`concat` merges the two vocabularies and remaps codes without
+decoding.  Scan-level predicates and the group-by kernels evaluate against
+the vocab (k distinct values) and broadcast through the codes, so repeated
+filter + group-by over the same stored tuples never touches the object
+array.
+
+Derived structure
+-----------------
+Two kinds of derived structure are memoized on a relation, because it is
+immutable: the dense dictionary of a column (:meth:`dictionary`) and the
+dense group codes of a key list (:meth:`group_codes`).  Both live only as
+long as the relation; a relation made by any transformation starts with
+neither, and pickling carries the dictionaries but never the group codes.
 """
 
 from __future__ import annotations
@@ -34,10 +42,12 @@ from repro.relational.schema import Field, Schema
 # Observability counters for the dictionary-encoding layer.  ``builds``
 # counts full encode computations (hash factorization / np.unique over all
 # rows); ``reuse_hits`` counts every time a memoized or propagated encoding
-# was served instead.  Plain int increments under the GIL: concurrent
-# updates may occasionally drop a count, which is acceptable for an
-# approximate observability counter (never consulted for correctness).
-_STATS = {"builds": 0, "reuse_hits": 0}
+# was served instead.  ``grouping_builds`` / ``grouping_reuse_hits`` count
+# the same for the group codes of a key list.  Plain int increments under
+# the GIL: concurrent updates may occasionally drop a count, which is
+# acceptable for an approximate observability counter (never consulted for
+# correctness).
+_STATS = {"builds": 0, "reuse_hits": 0, "grouping_builds": 0, "grouping_reuse_hits": 0}
 
 
 def dictionary_stats() -> dict[str, int]:
@@ -66,8 +76,8 @@ def compact_codes(
 
 
 def reset_dictionary_stats() -> None:
-    _STATS["builds"] = 0
-    _STATS["reuse_hits"] = 0
+    for key in _STATS:
+        _STATS[key] = 0
 
 
 class Relation:
@@ -79,7 +89,10 @@ class Relation:
     """
 
     # __weakref__ lets callers hold weak references to relations.
-    __slots__ = ("_schema", "_columns", "_nrows", "_dictionaries", "_encodings", "__weakref__")
+    __slots__ = (
+        "_schema", "_columns", "_nrows", "_dictionaries", "_encodings",
+        "_groupings", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -101,6 +114,24 @@ class Relation:
         self._encodings: dict[str, tuple[np.ndarray, np.ndarray]] = (
             dict(encodings) if encodings else {}
         )
+        self._groupings: dict[tuple[str, ...], tuple[np.ndarray, int, np.ndarray]] = {}
+
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        """The default slot state minus the group-code memo.
+
+        The memo is rebuilt on demand, so persisting it would only add
+        8 bytes per row per key list; a relation pickles to the same bytes
+        whether or not a grouped query has filled it.
+        """
+        _, slots = super().__getstate__()
+        slots.pop("_groupings", None)
+        return None, slots
+
+    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
+        _, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        self._groupings = {}
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -307,6 +338,80 @@ class Relation:
         _STATS["builds"] += 1
         return self._dictionaries.setdefault(name, (uniques, codes))
 
+    def group_codes(self, keys: Sequence[str]) -> tuple[np.ndarray, int, np.ndarray]:
+        """Dense per-row group codes over the distinct values of ``keys``.
+
+        Returns ``(codes, num_groups, first_indices)``:
+
+        - ``codes[i]`` is the group id of row ``i``; ids run
+          ``0..num_groups-1`` in key-sorted order (per-column ``np.unique``
+          order),
+        - ``first_indices[g]`` is the first row (in row order) of group
+          ``g``, usable as a representative for reading key values.
+
+        With no key columns every row belongs to a single group 0 — even
+        for an empty relation, where the one group has zero member rows.
+
+        Memoized per key list (order matters), beside :meth:`dictionary`
+        and race-safe the same way: built in full, then published with one
+        atomic ``dict.setdefault``.  Every caller shares the arrays, so
+        treat them as read-only (those built here are flagged so).
+        Multi-key codes cost 8 bytes per row per key list; a single key
+        reuses its dictionary's codes.
+        """
+        memo_key = tuple(keys)
+        cached = self._groupings.get(memo_key)
+        if cached is not None:
+            _STATS["grouping_reuse_hits"] += 1
+            return cached
+        codes, num_groups, first_indices = self._build_group_codes(memo_key)
+        first_indices.flags.writeable = False
+        if len(memo_key) != 1:  # one key's codes are its dictionary's
+            codes.flags.writeable = False
+        _STATS["grouping_builds"] += 1
+        return self._groupings.setdefault(memo_key, (codes, num_groups, first_indices))
+
+    def _build_group_codes(
+        self, keys: tuple[str, ...]
+    ) -> tuple[np.ndarray, int, np.ndarray]:
+        n = self._nrows
+        if not keys:
+            return (
+                np.zeros(n, dtype=np.int64),
+                1,
+                np.zeros(1 if n else 0, dtype=np.int64),
+            )
+        if n == 0:
+            return np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64)
+
+        if len(keys) == 1:
+            uniques, codes = self.dictionary(keys[0])
+            return codes, len(uniques), _first_occurrences(codes, len(uniques))
+
+        combined = np.zeros(n, dtype=np.int64)
+        cross_product = 1
+        for name in keys:
+            uniques, codes = self.dictionary(name)
+            combined = combined * len(uniques) + codes
+            cross_product *= len(uniques)
+
+        # Multi-key combination leaves gaps (absent value pairs); re-densify.
+        if cross_product <= max(4 * n, 1024):
+            # Small key domain: presence mask + remap, no O(n log n) sort.
+            present = np.flatnonzero(np.bincount(combined, minlength=cross_product))
+            remap = np.empty(cross_product, dtype=np.int64)
+            remap[present] = np.arange(len(present))
+            codes = remap[combined]
+            return codes, len(present), _first_occurrences(codes, len(present))
+        uniques, first_indices, codes = np.unique(
+            combined, return_index=True, return_inverse=True
+        )
+        return (
+            codes.astype(np.int64, copy=False),
+            len(uniques),
+            first_indices.astype(np.int64, copy=False),
+        )
+
     def rows(self) -> Iterator[tuple]:
         """Iterate rows as Python tuples (TEXT as str, numerics as numpy scalars)."""
         arrays = [self._columns[name] for name in self._schema.names]
@@ -387,21 +492,6 @@ class Relation:
                 name: self._encodings[name] for name in names if name in self._encodings
             },
         )
-
-    def rename(self, mapping: dict[str, str]) -> "Relation":
-        schema = self._schema.rename(mapping)
-        columns = {mapping.get(name, name): arr for name, arr in self._columns.items()}
-        encodings = {
-            mapping.get(name, name): entry for name, entry in self._encodings.items()
-        }
-        renamed = Relation(schema, columns, encodings=encodings)
-        # Column arrays are shared, so memoized dictionary encodings stay
-        # valid — carry them over under their new names (the stale old-name
-        # keys do not leak into the renamed relation).  Snapshot the items:
-        # a concurrent reader may be publishing an encoding right now.
-        for name, entry in list(self._dictionaries.items()):
-            renamed._dictionaries[mapping.get(name, name)] = entry
-        return renamed
 
     def with_column(self, name: str, dtype: DType, values: Any) -> "Relation":
         """Append (or replace) a column."""
@@ -502,6 +592,18 @@ def _ingest_column(
         encodings[field.name] = (vocab, codes)
     else:
         columns[field.name] = field.dtype.coerce_array(values)
+
+
+def _first_occurrences(codes: np.ndarray, num_groups: int) -> np.ndarray:
+    """First row index of each group, without sorting.
+
+    Fancy assignment with duplicate indices keeps the last write; writing
+    row indices in reverse row order therefore leaves each group's minimum.
+    """
+    n = codes.shape[0]
+    first = np.empty(num_groups, dtype=np.int64)
+    first[codes[::-1]] = np.arange(n - 1, -1, -1)
+    return first
 
 
 def _decode(vocab: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -90,13 +90,3 @@ class Schema:
     def project(self, names: Iterable[str]) -> "Schema":
         """A new schema containing ``names`` in the given order."""
         return Schema(self.field(name) for name in names)
-
-    def concat(self, other: "Schema") -> "Schema":
-        """A new schema with ``other``'s fields appended (names must stay unique)."""
-        return Schema((*self._fields, *other._fields))
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """A new schema with columns renamed per ``mapping`` (missing keys kept)."""
-        return Schema(
-            Field(mapping.get(field.name, field.name), field.dtype) for field in self._fields
-        )

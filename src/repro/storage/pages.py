@@ -87,6 +87,7 @@ class MappedRelation(Relation):
         mapped._nrows = relation._nrows
         mapped._dictionaries = relation._dictionaries
         mapped._encodings = relation._encodings
+        mapped._groupings = relation._groupings
         mapped.mmap_descriptor = descriptor
         mapped._attached = attached  # owns the mapping; views reference its buffer
         return mapped

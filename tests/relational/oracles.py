@@ -1,12 +1,17 @@
-"""Reference implementation the exact scan kernels replaced.
+"""Reference implementations the exact scan kernels replaced.
 
-These are the bodies ``repro.relational.kernels.grouped_aggregate`` and
-``_aggregate_column`` had before the ungrouped path and the shared
+``grouped_aggregate`` and ``_aggregate_column`` are the bodies
+``repro.relational.kernels`` had before the ungrouped path and the shared
 narrow-dtype MIN/MAX order: every aggregate, grouped or not, gathers one
 group code per selected row and reduces with ``np.bincount`` /
 ``np.add.at``; every MIN/MAX spec runs its own int64 stable argsort.  The
 tests compare the production kernel against it: numeric columns
 ``tobytes()``-equal, TEXT columns equal, and the same error type.
+
+``group_codes`` is the body ``repro.relational.groupby.group_codes`` had
+before relations memoized their group codes: it recomputes the codes, the
+group count and the first rows on every call, from the relation's
+per-column dictionaries.
 """
 
 from __future__ import annotations
@@ -17,10 +22,58 @@ import numpy as np
 
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relational.aggregates import AggregateSpec
-from repro.relational.groupby import group_codes
 from repro.relational.kernels import _argument_values
 from repro.relational.relation import Relation, compact_codes
 from repro.relational.schema import Schema
+
+
+def group_codes(
+    relation: Relation, keys: Sequence[str]
+) -> tuple[np.ndarray, int, np.ndarray]:
+    n = relation.num_rows
+    if not keys:
+        return (
+            np.zeros(n, dtype=np.int64),
+            1,
+            np.zeros(1 if n else 0, dtype=np.int64),
+        )
+    if n == 0:
+        return np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64)
+
+    if len(keys) == 1:
+        uniques, codes = relation.dictionary(keys[0])
+        return codes, len(uniques), _first_occurrences(codes, len(uniques))
+
+    combined = np.zeros(n, dtype=np.int64)
+    cross_product = 1
+    for name in keys:
+        uniques, codes = relation.dictionary(name)
+        combined = combined * len(uniques) + codes
+        cross_product *= len(uniques)
+
+    # Multi-key combination leaves gaps (absent value pairs); re-densify.
+    if cross_product <= max(4 * n, 1024):
+        # Small key domain: presence mask + remap, no O(n log n) sort.
+        present = np.flatnonzero(np.bincount(combined, minlength=cross_product))
+        remap = np.empty(cross_product, dtype=np.int64)
+        remap[present] = np.arange(len(present))
+        codes = remap[combined]
+        return codes, len(present), _first_occurrences(codes, len(present))
+    uniques, first_indices, codes = np.unique(
+        combined, return_index=True, return_inverse=True
+    )
+    return (
+        codes.astype(np.int64, copy=False),
+        len(uniques),
+        first_indices.astype(np.int64, copy=False),
+    )
+
+
+def _first_occurrences(codes: np.ndarray, num_groups: int) -> np.ndarray:
+    n = codes.shape[0]
+    first = np.empty(num_groups, dtype=np.int64)
+    first[codes[::-1]] = np.arange(n - 1, -1, -1)
+    return first
 
 
 def grouped_aggregate(

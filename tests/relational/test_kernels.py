@@ -13,7 +13,7 @@ from repro.errors import SchemaError, TypeMismatchError
 from repro.relational.aggregates import AggregateSpec, compute_aggregate
 from repro.relational.dtypes import DType
 from repro.relational.expressions import ColumnRef
-from repro.relational.groupby import distinct_indices, group_codes, group_rows
+from repro.relational.groupby import distinct_indices, group_rows
 from repro.relational.kernels import grouped_aggregate
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
@@ -123,7 +123,7 @@ class TestGroupCodes:
     def test_codes_align_with_group_rows(self):
         rng = np.random.default_rng(3)
         relation = make_relation(rng, 120)
-        codes, num_groups, first = group_codes(relation, ["a", "b"])
+        codes, num_groups, first = relation.group_codes(["a", "b"])
         groups = group_rows(relation, ["a", "b"])
         assert num_groups == len(groups)
         for group_id, (_, indices) in enumerate(groups):
@@ -132,14 +132,14 @@ class TestGroupCodes:
 
     def test_no_keys_single_group(self):
         relation = Relation.from_dict({"v": [1, 2, 3]})
-        codes, num_groups, first = group_codes(relation, [])
+        codes, num_groups, first = relation.group_codes([])
         assert codes.tolist() == [0, 0, 0]
         assert num_groups == 1
         assert first.tolist() == [0]
 
     def test_no_keys_empty_relation_still_one_group(self):
         relation = Relation.from_dict({"v": np.array([], dtype=np.int64)})
-        codes, num_groups, first = group_codes(relation, [])
+        codes, num_groups, first = relation.group_codes([])
         assert codes.size == 0
         assert num_groups == 1
         assert first.size == 0

@@ -89,11 +89,6 @@ class TestTransforms:
         out = rel.project(["tag", "id"])
         assert out.column_names == ("tag", "id")
 
-    def test_rename(self, rel):
-        out = rel.rename({"id": "key"})
-        assert "key" in out.schema
-        assert out.column("key").tolist() == [1, 2, 3, 4]
-
     def test_with_column_append(self, rel):
         out = rel.with_column("w", DType.FLOAT, [1, 1, 1, 1])
         assert out.column_names[-1] == "w"

@@ -57,19 +57,6 @@ class TestDerivedSchemas:
         with pytest.raises(SchemaError):
             schema.project(["nope"])
 
-    def test_concat(self, schema):
-        other = Schema.of(d=DType.BOOL)
-        assert schema.concat(other).names == ("a", "b", "c", "d")
-
-    def test_concat_collision_raises(self, schema):
-        with pytest.raises(SchemaError, match="duplicate"):
-            schema.concat(Schema.of(a=DType.BOOL))
-
-    def test_rename(self, schema):
-        renamed = schema.rename({"a": "alpha"})
-        assert renamed.names == ("alpha", "b", "c")
-        assert renamed.dtype("alpha") is DType.INT
-
     def test_equality_and_hash(self, schema):
         twin = Schema.of(a=DType.INT, b=DType.FLOAT, c=DType.TEXT)
         assert schema == twin
