@@ -25,7 +25,7 @@ from repro.bayesnet.cpd import ConditionalTable, RootTable
 from repro.bayesnet.structure import TreeStructure, learn_chow_liu
 from repro.catalog.metadata import Marginal
 from repro.errors import GenerativeModelError
-from repro.generative.streams import repetition_streams, with_repetition_ids
+from repro.generative.streams import with_repetition_ids
 from repro.relational.dtypes import DType, object_array
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
@@ -443,7 +443,7 @@ class BayesianNetworkModel:
         consumed in a fixed order (root, tree order, then one decode
         uniform per binned attribute), so stacking the uniforms of several
         repetitions and transforming them in one pass —
-        :meth:`generate_batch` — is bit-identical to repeated calls.
+        :meth:`generate_batch_streams` — is bit-identical to repeated calls.
         """
         self._require_fitted()
         if n <= 0:
@@ -453,30 +453,18 @@ class BayesianNetworkModel:
         codes = self._ancestral_codes(node_uniforms)
         return self._decode_codes(codes, decode_uniforms)
 
-    def generate_batch(
-        self, n: int, repetitions: int, rng: np.random.Generator | None = None
-    ) -> Relation:
-        """``repetitions`` independent samples of ``n`` rows in one pass.
-
-        Draws each repetition's uniforms from its own spawned RNG stream
-        (the OPEN per-repetition stream contract), stacks them, and runs
-        ancestral sampling over the stacked code matrices once.  The
-        result is the serial per-repetition output concatenated, tagged
-        with a dense ``__rep__`` id column.
-        """
-        streams = repetition_streams(
-            rng if rng is not None else self._rng, repetitions
-        )
-        return self.generate_batch_streams(n, streams)
-
     def generate_batch_streams(
         self, n: int, streams: list[np.random.Generator]
     ) -> Relation:
         """One chunk of repetitions, each drawn from its given stream.
 
-        The chunked sibling of :meth:`generate_batch`: callers slice a
+        Draws each repetition's uniforms from its stream (the OPEN
+        per-repetition stream contract), stacks them, and runs ancestral
+        sampling over the stacked code matrices once.  Callers slice a
         pre-spawned stream list, so chunked generation draws exactly what
-        the monolithic batch would for the same repetition indices.
+        one batch over all streams would.  The result is the serial
+        per-repetition output concatenated, tagged with a dense ``__rep__``
+        id column.
         """
         self._require_fitted()
         if n <= 0:
@@ -500,12 +488,6 @@ class BayesianNetworkModel:
         return with_repetition_ids(
             self._decode_codes(codes, decode_uniforms), len(streams)
         )
-
-    def generate_many(
-        self, n: int, repetitions: int, rng: np.random.Generator | None = None
-    ) -> list[Relation]:
-        rng = rng if rng is not None else self._rng
-        return [self.generate(n, rng=rng) for _ in range(repetitions)]
 
     def _require_fitted(self) -> None:
         if self.structure is None or self._root_table is None or self._schema is None:

@@ -271,10 +271,10 @@ def execute_plan_composite(
     ``(rep, group)`` codes in a single kernel pass — the query executes
     *once* instead of once per repetition.  Returns the plan's aggregate
     node plus the per-(repetition, group) results for
-    :func:`~repro.engine.open_world.combine_composite_answers`; Sort/Limit
-    nodes are intentionally not handled here — ordering is applied to the
-    combined answer, and plans with LIMIT take the per-repetition path
-    (a per-repetition LIMIT changes which groups each answer contains).
+    :func:`~repro.engine.open_world.combine_composite_answers`.  Execution
+    stops at the aggregate: the plan's Sort/Limit tail describes the
+    combined answer, so the caller applies it once, after the combine (a
+    per-repetition LIMIT would change which groups each answer contains).
     """
     if relation.schema != plan.source_schema:
         raise SchemaError(
@@ -297,11 +297,6 @@ def execute_plan_composite(
                 repetitions,
                 weights,
                 selection,
-            )
-        elif isinstance(node, (SortNode, LimitNode)):
-            raise SchemaError(
-                "composite execution saw a Sort/Limit node before the "
-                "aggregate; this plan must use the per-repetition path"
             )
         else:
             raise SchemaError(

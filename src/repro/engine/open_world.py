@@ -42,6 +42,7 @@ from repro.engine.plan import (
     LimitNode,
     LogicalPlan,
     ProjectNode,
+    SortNode,
 )
 from repro.engine.planner import PlannedSource
 from repro.errors import GenerativeModelError, VisibilityError
@@ -83,9 +84,7 @@ class OpenGenerator(Protocol):
     stream list once and hands each chunk its ``streams[start:stop]``
     slice, so chunking never changes a drawn value; a generator without
     the method is driven through ``generate`` stream by stream, to the
-    same answer.  (``generate_batch(n, repetitions, rng)`` on the provided
-    generators spawns the streams itself and delegates; the engine does
-    not call it.)
+    same answer.
 
     A generator may expose ``fit_report`` — a flat dict of what its last
     ``fit`` did; the engine copies it onto the ``open.fit`` trace span.
@@ -161,6 +160,7 @@ class MswgGenerator:
         return self.model.generate(n, rng=rng, until=until)
 
     def generate_batch(self, n, repetitions, rng=None):
+        # The engine never calls this; mosaicbench's layer tracer names it.
         return self.model.generate_batch(n, repetitions, rng=rng)
 
     def generate_batch_streams(self, n, streams):
@@ -189,9 +189,6 @@ class BayesNetGenerator:
 
     def generate(self, n, rng=None):
         return self.model.generate(n, rng=rng)
-
-    def generate_batch(self, n, repetitions, rng=None):
-        return self.model.generate_batch(n, repetitions, rng=rng)
 
     def generate_batch_streams(self, n, streams):
         return self.model.generate_batch_streams(n, streams)
@@ -314,19 +311,10 @@ class IPFSynthesizer:
         draws = rng.choice(probabilities.size, size=n, p=probabilities)
         return self._decode_cells(draws)
 
-    def generate_batch(self, n, repetitions, rng=None):
-        """All repetitions in one pass: one ``rng.choice`` per repetition
-        stream over the flat cell probabilities (the per-stream draws are
-        bit-identical to serial ``generate`` calls), then a single batched
-        decode of the stacked cell ids."""
-        streams = repetition_streams(
-            rng if rng is not None else np.random.default_rng(0), repetitions
-        )
-        return self.generate_batch_streams(n, streams)
-
     def generate_batch_streams(self, n, streams):
-        """One chunk of repetitions, each drawn from its given stream
-        (slice of a pre-spawned list, so chunking never changes draws)."""
+        """One chunk of repetitions: one ``choice`` per stream over the flat
+        cell probabilities (each bit-identical to ``generate`` on that
+        stream), then a single decode of the stacked cell ids."""
         if self._result is None or self._schema is None:
             raise GenerativeModelError("generate() before fit()")
         if not streams:
@@ -405,16 +393,6 @@ class OpenQueryConfig:
         return min(max(2, int(self.min_repetitions)), self.resolved_max_repetitions())
 
 
-def runs_per_repetition(query: SelectQuery) -> bool:
-    """Must ``query`` be answered one repetition at a time?
-
-    A LIMIT on an aggregate truncates each repetition's answer *before*
-    the group intersection, which per-(repetition, group) cells cannot
-    express; every other aggregate shape runs on the chunked stream.
-    """
-    return query.limit is not None
-
-
 def evaluate_open(
     query: SelectQuery,
     source: PlannedSource,
@@ -437,9 +415,9 @@ def evaluate_open(
     supplied by :class:`~repro.core.engine.Engine` on plan-cache hits,
     compiled here otherwise.
 
-    Aggregates run on the chunked stream (:func:`_evaluate_open_stream`),
-    except the one :func:`runs_per_repetition` shape, which takes
-    :func:`_evaluate_open_loop`.  A non-aggregate query materialises one
+    Every aggregate runs on the chunked stream
+    (:func:`_evaluate_open_stream`), and the plan's ORDER BY/LIMIT apply
+    once, to the combined answer.  A non-aggregate query materialises one
     sample of up to ``max_materialized_rows`` rows and runs its plan over
     it; when a prefix can answer the plan (:func:`prefix_limit`),
     generation stops at the first decoded range that meets the LIMIT, so
@@ -458,7 +436,7 @@ def evaluate_open(
     inferred = _try_count_inference(query, source, generator)
     if inferred is not None:
         return (
-            inferred,
+            _order_and_limit(inferred, plan),
             [
                 f"OPEN: COUNT answered by direct inference over {generator_name} "
                 "(no tuples materialised, Sec. 4.2)"
@@ -478,47 +456,13 @@ def evaluate_open(
         ]
         meta = {"repetitions_used": 1}
     else:
-        run = _evaluate_open_loop if runs_per_repetition(query) else _evaluate_open_stream
-        relation, notes, meta = run(
-            query, generator, config, population_size, rng, plan, predicate, rows
+        relation, notes, meta = _evaluate_open_stream(
+            generator, config, population_size, rng, plan, predicate, rows
         )
     notes.insert(
         0, f"OPEN: {meta['repetitions_used']} generated sample(s) from {generator_name}"
     )
     return relation, notes, meta
-
-
-def _evaluate_open_loop(
-    query: SelectQuery,
-    generator: OpenGenerator,
-    config: OpenQueryConfig,
-    population_size: float,
-    rng: np.random.Generator,
-    plan: LogicalPlan,
-    predicate,
-    rows: int,
-) -> tuple[Relation, list[str], dict]:
-    """Sec. 5.3 read literally: one generate → execute round per
-    repetition, then :func:`combine_open_answers`.
-
-    The engine takes this path only for :func:`runs_per_repetition`
-    queries; the tests use it as the reference the stream must equal.
-    """
-    repetitions = config.repetitions
-    answers = []
-    for stream in repetition_streams(rng, repetitions):
-        generated = _apply_view(_generate(generator, rows, stream), predicate)
-        if generated.num_rows:
-            # Each generated tuple stands for population_size / rows
-            # population tuples ("uniformly reweight the generated sample
-            # to match the size of the population", Sec. 5.3); the view
-            # filter keeps that scale.
-            weights = np.full(generated.num_rows, population_size / rows)
-            answers.append(execute_plan(plan, generated, weights))
-    notes = _participation_notes(repetitions, len(answers))
-    notes.append(_kept_note(len(answers)))
-    combined = combine_open_answers(answers, _key_columns(query, answers[0]))
-    return _order_combined(combined, query), notes, {"repetitions_used": repetitions}
 
 
 def _participation_notes(generated: int, answered: int) -> list[str]:
@@ -623,7 +567,6 @@ _TOLERANCE_FLOOR = 1e-12
 
 
 def _evaluate_open_stream(
-    query: SelectQuery,
     generator: OpenGenerator,
     config: OpenQueryConfig,
     population_size: float,
@@ -646,7 +589,8 @@ def _evaluate_open_stream(
     its running mean for every aggregate; peak batch memory is
     ``chunk x n`` rows instead of ``cap x n``.  Chunking never changes a
     drawn value or an accumulation order, so any chunk size run to the
-    same repetition gives the same bytes.
+    same repetition gives the same bytes.  The plan's ORDER BY/LIMIT
+    describe the combined answer, so they apply once, after the combine.
     """
     adaptive = config.tolerance > 0.0
     cap = config.resolved_max_repetitions() if adaptive else config.repetitions
@@ -727,7 +671,7 @@ def _evaluate_open_stream(
         "early_stop": used < cap,
     }
     combined = combine_composite_answers(groups, config.report_ci)
-    return _order_combined(combined, query), notes, meta
+    return _order_and_limit(combined, plan), notes, meta
 
 
 class _SurvivingGroups:
@@ -821,10 +765,11 @@ def combine_composite_answers(
     The streamed sibling of :func:`combine_open_answers`: per-repetition
     answers never materialise.  A group survived iff it was present in
     every *participating* repetition (repetitions whose generation was
-    empty inside the population view do not count, matching the reference
-    loop's dropped answers); its aggregates are the per-repetition-ordered
-    totals over the number of participating repetitions, so results are
-    bit-identical to the reference, in the same key-sorted row order.
+    empty inside the population view do not count, as Sec. 5.3's
+    per-repetition loop drops their answers); its aggregates are the
+    per-repetition-ordered totals over the number of participating
+    repetitions, so results are bit-identical to that loop's
+    :func:`combine_open_answers`, in the same key-sorted row order.
 
     ``report_ci`` appends per-aggregate ``{alias}__std__``/``{alias}__ci__``
     columns (sample std of the per-repetition values across participating
@@ -844,17 +789,19 @@ def combine_composite_answers(
     return Relation.from_groups(out_schema, columns)
 
 
-def _order_combined(combined: Relation, query: SelectQuery) -> Relation:
-    """ORDER BY / LIMIT over the combined OPEN answer (shared tail)."""
-    if query.order_by:
-        names = [key.column for key in query.order_by]
-        combined = combined.sort_by(
-            [n for n in names if n in combined.schema],
-            [key.ascending for key in query.order_by if key.column in combined.schema],
-        )
-    if query.limit is not None:
-        combined = combined.head(query.limit)
-    return combined
+def _order_and_limit(answer: Relation, plan: LogicalPlan) -> Relation:
+    """The plan's ORDER BY / LIMIT over a combined OPEN aggregate answer
+    (or a COUNT answered by direct inference).
+
+    Compiled aggregate plans end in them, after the aggregate; their names
+    are already resolved against its output, which the answer keeps.
+    """
+    for node in plan.nodes:
+        if isinstance(node, SortNode):
+            answer = answer.sort_by(list(node.columns), list(node.ascending))
+        elif isinstance(node, LimitNode):
+            answer = answer.head(node.count)
+    return answer
 
 
 def _combined_schema(aggregate_node: AggregateNode, report_ci: bool) -> Schema:
@@ -924,7 +871,8 @@ def _try_count_inference(
 def combine_open_answers(answers: list[Relation], key_columns: list[str]) -> Relation:
     """Group-intersection + aggregate averaging across repeated answers.
 
-    Vectorized over dictionary codes: the answers (each with distinct key
+    Sec. 5.3's combine over materialised per-repetition answers — the
+    reference :func:`combine_composite_answers` must equal.  Vectorized over dictionary codes: the answers (each with distinct key
     combinations, as GROUP BY outputs are) are unioned into one relation,
     :meth:`~repro.relational.relation.Relation.group_codes` assigns each key
     combination a dense id, and a key survives iff its id occurs in every
@@ -958,15 +906,6 @@ def combine_open_answers(answers: list[Relation], key_columns: list[str]) -> Rel
         sums = np.bincount(codes, weights=values, minlength=num_groups)
         columns.append(sums[kept] / repetitions)
     return Relation.from_groups(out_schema, columns)
-
-
-def _key_columns(query: SelectQuery, answer: Relation) -> list[str]:
-    aggregate_aliases = {
-        (item.alias or item.default_alias())
-        for item in query.items
-        if item.is_aggregate
-    }
-    return [c for c in answer.column_names if c not in aggregate_aliases]
 
 
 def _view_mask(relation: Relation, predicate) -> np.ndarray | None:

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.experiments.harness import ExperimentResult
 from repro.generative.mswg import MSWG, MswgConfig
+from repro.generative.streams import repetition_streams
 from repro.metrics.error import percent_difference
 from repro.metrics.summary import boxplot_stats
 from repro.reweight.weights import uniform_weights
@@ -84,10 +85,12 @@ def run(config: Figure6Config | None = None) -> ExperimentResult:
 
     model = MSWG(config.mswg)
     model.fit(sample, marginals)
-    generation_rng = np.random.default_rng(config.seed + 1)
-    generated_samples = model.generate_many(
-        sample.num_rows, config.generated_samples, rng=generation_rng
-    )
+    generated_samples = [
+        model.generate(sample.num_rows, rng=stream)
+        for stream in repetition_streams(
+            np.random.default_rng(config.seed + 1), config.generated_samples
+        )
+    ]
 
     n_population = population.num_rows
     unif_weights = uniform_weights(sample.num_rows, n_population)

@@ -26,6 +26,7 @@ import numpy as np
 from repro.experiments.ascii_plot import ascii_bars
 from repro.experiments.harness import ExperimentResult
 from repro.generative.mswg import MSWG, MswgConfig
+from repro.generative.streams import repetition_streams
 from repro.metrics.error import average_percent_difference
 from repro.relational.relation import Relation
 from repro.reweight.ipf import ipf_reweight
@@ -114,11 +115,12 @@ def run(config: Figure7Config | None = None) -> ExperimentResult:
     # --- M-SWG: generate, uniformly reweight, combine. --------------------
     model = MSWG(config.mswg)
     model.fit(sample, marginals)
-    generated = model.generate_many(
-        sample.num_rows,
-        config.generated_samples,
-        rng=np.random.default_rng(config.seed + 1),
-    )
+    generated = [
+        model.generate(sample.num_rows, rng=stream)
+        for stream in repetition_streams(
+            np.random.default_rng(config.seed + 1), config.generated_samples
+        )
+    ]
 
     rows = []
     per_method_errors: dict[str, list[float]] = {"Unif": [], "IPF": [], "M-SWG": []}

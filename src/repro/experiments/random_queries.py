@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.experiments.harness import ExperimentResult
 from repro.generative.mswg import MSWG, MswgConfig
+from repro.generative.streams import repetition_streams
 from repro.metrics.error import average_percent_difference
 from repro.metrics.summary import boxplot_stats
 from repro.reweight.ipf import ipf_reweight
@@ -91,11 +92,12 @@ def run(config: RandomQueriesConfig | None = None) -> ExperimentResult:
 
     model = MSWG(config.mswg)
     model.fit(sample, marginals)
-    generated = model.generate_many(
-        sample.num_rows,
-        config.generated_samples,
-        rng=np.random.default_rng(config.seed + 1),
-    )
+    generated = [
+        model.generate(sample.num_rows, rng=stream)
+        for stream in repetition_streams(
+            np.random.default_rng(config.seed + 1), config.generated_samples
+        )
+    ]
     generated_weights = uniform_weights(sample.num_rows, n_population)
 
     queries = random_template_queries(

@@ -392,17 +392,3 @@ class MSWG:
         (clips, argmax picks), so the relation never aliases plan buffers."""
         assert self.encoder is not None
         return self.encoder.inverse_transform(self._predecode(latents))
-
-    def generate_many(
-        self,
-        n: int,
-        repetitions: int,
-        rng: np.random.Generator | None = None,
-    ) -> list[Relation]:
-        """``repetitions`` independent generated samples of ``n`` rows each.
-
-        The paper's variance-reduction device for OPEN answers (Sec. 5.3):
-        generate 10 samples and combine their answers.
-        """
-        rng = rng if rng is not None else self._rng
-        return [self.generate(n, rng=rng) for _ in range(repetitions)]

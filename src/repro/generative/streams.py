@@ -1,10 +1,12 @@
 """Per-repetition RNG streams and repetition-id tagging for OPEN execution.
 
 The OPEN path answers a query from ``repetitions`` independent generated
-samples (paper Sec. 5.3).  Whether those samples are produced one at a
-time (the reference loop) or as stacked ``c x n``-row chunks (the
-stream), every repetition must draw from the *same* RNG stream so the two
-executions are bit-identical:
+samples (paper Sec. 5.3).  The engine produces them as stacked
+``c x n``-row chunks (``generate_batch_streams``, or one ``generate`` per
+stream for a generator without it); Sec. 5.3's one-sample-at-a-time loop
+survives only as the tests' reference.  Every repetition draws from its
+*own* RNG stream, whichever way it is produced, so all of them are
+bit-identical:
 
 - :func:`repetition_streams` derives ``count`` independent generators from
   a single draw on the session RNG.  One ``integers`` draw seeds a root

@@ -2,18 +2,20 @@
 
 The chunked repetition stream (``generate_batch_streams`` per chunk,
 composite ``(rep, group)`` evaluation, key-row merge) must be bit-identical
-to the per-repetition reference loop (``_evaluate_open_loop``: one
+to the per-repetition reference loop (``oracles.evaluate_open_loop``: one
 ``generate`` + one ``execute_plan`` per repetition, then
-``combine_open_answers``) for every generator, every key type, with and
-without WHERE / view predicates / ORDER BY, at every chunk size —
-in-process and over the TCP server.  Both share the per-repetition
-RNG-stream contract: repetition ``r`` draws from stream ``r`` of
-``repetition_streams(rng, R)``.
+``combine_open_answers``, then the plan's ORDER BY/LIMIT) for every
+generator, every key type, with and without WHERE / view predicates /
+ORDER BY / LIMIT, at every chunk size — in-process and over the TCP
+server.  Both share the per-repetition RNG-stream contract: repetition
+``r`` draws from stream ``r`` of ``repetition_streams(rng, R)``.
 
-The engine only takes the loop for aggregates with a LIMIT
-(``runs_per_repetition``); the ``reference`` fixture patches that choice
-to route any query through it.
+The engine answers every aggregate on the stream; the ``reference``
+fixture patches the loop in for it.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,13 @@ from repro.generative.streams import (
     with_repetition_ids,
 )
 from repro.server.server import MosaicServer
+
+# Loaded by path: other test directories have an ``oracles`` module too.
+_spec = importlib.util.spec_from_file_location(
+    "engine_oracles", Path(__file__).with_name("oracles.py")
+)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 REPETITIONS = 6
 GEN_ROWS = 600
@@ -129,7 +138,7 @@ def reference(monkeypatch):
 
     def run(session, sql):
         with monkeypatch.context() as patch:
-            patch.setattr(open_world, "runs_per_repetition", lambda query: True)
+            patch.setattr(open_world, "_evaluate_open_stream", oracles.evaluate_open_loop)
             return session.execute(sql)
 
     return run
@@ -156,6 +165,8 @@ QUERY_SHAPES = {
     "FROM UkPeople GROUP BY country, email",
     "order_by": "SELECT OPEN country, COUNT(*) AS n FROM People "
     "GROUP BY country ORDER BY n DESC",
+    "order_by_limit": "SELECT OPEN country, age, COUNT(*) AS n FROM People "
+    "GROUP BY country, age ORDER BY n DESC, age LIMIT 4",
 }
 
 
@@ -191,19 +202,6 @@ class TestStreamEqualsReferenceLoop:
         assert hidden.num_rows == full.num_rows > 0
         assert list(hidden.column("country")) == list(full.column("country"))
         assert hidden.column("n").tobytes() == full.column("n").tobytes()
-
-    def test_limit_queries_take_the_per_repetition_path(self, reference):
-        # A per-repetition LIMIT truncates each answer *before* the group
-        # intersection; composite cells cannot express that, so the engine
-        # picks the loop from the query.
-        sql = (
-            "SELECT OPEN country, COUNT(*) AS n FROM People "
-            "GROUP BY country ORDER BY country LIMIT 2"
-        )
-        result = build_db(IPFSynthesizer).execute(sql)
-        assert not result.has_note("composite (rep, group) codes")
-        assert result.num_rows == 2
-        assert_identical(result, reference(build_db(IPFSynthesizer), sql))
 
     def test_non_aggregate_open_materialises_one_sample(self):
         result = build_db(IPFSynthesizer).execute(
@@ -277,7 +275,8 @@ def fitted(factory):
 
 
 class TestGenerateBatchContract:
-    """generate_batch(n, R, rng) row-for-row equals R serial generate calls."""
+    """generate_batch_streams(n, streams) row-for-row equals one serial
+    generate call per stream."""
 
     @pytest.mark.parametrize("name", ["ipf-synth", "bayesnet", "mswg"])
     def test_batch_rows_bit_identical_to_serial_streams(self, name):
@@ -287,8 +286,8 @@ class TestGenerateBatchContract:
             generator.generate(n, rng=stream)
             for stream in repetition_streams(np.random.default_rng(7), REPETITIONS)
         ]
-        batch = generator.generate_batch(
-            n, REPETITIONS, rng=np.random.default_rng(7)
+        batch = generator.generate_batch_streams(
+            n, repetition_streams(np.random.default_rng(7), REPETITIONS)
         )
         rep_ids = np.asarray(batch.column(REPETITION_COLUMN))
         assert np.array_equal(

@@ -10,6 +10,7 @@ from repro.errors import GenerativeModelError
 from repro.generative.losses import wasserstein_1d
 from repro.generative.mswg import MSWG, MswgConfig
 from repro.generative.nn.inference import InferencePlan
+from repro.generative.streams import repetition_streams
 from repro.relational.relation import Relation
 
 
@@ -152,13 +153,15 @@ class TestCategorical:
         assert any("sample:v" in name for name in history.epochs[-1].term_losses)
 
 
-class TestGenerateMany:
+class TestRepetitionStreams:
     def test_repetitions(self, gaussian_case):
         sample_rel, marginal, _ = gaussian_case
         model = MSWG(quick_config(epochs=2))
         model.fit(sample_rel, [marginal])
-        outs = model.generate_many(100, repetitions=3, rng=np.random.default_rng(9))
-        assert len(outs) == 3
+        outs = [
+            model.generate(100, rng=stream)
+            for stream in repetition_streams(np.random.default_rng(9), 3)
+        ]
         assert all(o.num_rows == 100 for o in outs)
         # Independent draws differ.
         assert not np.allclose(outs[0].column("x"), outs[1].column("x"))
