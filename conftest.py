@@ -12,8 +12,8 @@ Local runs are unaffected unless the variable is exported.
 
 The shared-memory leak check compares the ``mosaic-shm-*`` segments in
 ``/dev/shm`` before and after the whole run: every segment
-``repro.relational.shm.share_relation`` creates must be unlinked by the
-release of its last handle.  A leaked segment survives the process and
+``repro.relational.shm.share_relation`` creates must be unlinked by its
+handle's release.  A leaked segment survives the process and
 eats tmpfs until reboot, so it fails the suite loudly.
 """
 

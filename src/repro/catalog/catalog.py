@@ -132,10 +132,6 @@ class Catalog:
         return population
 
     @property
-    def population_names(self) -> list[str]:
-        return sorted(self._populations)
-
-    @property
     def global_population(self) -> PopulationRelation | None:
         if self._global_population is None:
             return None

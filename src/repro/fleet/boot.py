@@ -47,12 +47,6 @@ class ShardProcess:
             self.process.kill()
             self.process.wait(timeout=30)
 
-    def terminate(self, timeout: float = 30.0) -> int:
-        """SIGTERM and wait; the shard drains in-flight queries."""
-        if self.alive():
-            self.process.send_signal(signal.SIGTERM)
-        return self.process.wait(timeout=timeout)
-
 
 def _shard_environment() -> dict[str, str]:
     # The shard subprocess must import the same repro package this

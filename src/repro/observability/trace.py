@@ -152,11 +152,6 @@ class QueryTrace:
         adaptive-stop details, ...)."""
         self.meta[key] = value
 
-    def add_child(self, child: dict) -> None:
-        """Stitch a serialized child trace (e.g. one shard's trace of a
-        scattered query) under this one."""
-        self.children.append(child)
-
     def finish(self) -> None:
         """Freeze the total duration (idempotent)."""
         if self._total_ms is None:

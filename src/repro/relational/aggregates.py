@@ -51,10 +51,6 @@ class AggregateSpec:
         if self.expr is None and self.func != "COUNT":
             raise TypeMismatchError(f"{self.func}(*) is not valid; only COUNT(*) is")
 
-    @property
-    def is_count_star(self) -> bool:
-        return self.expr is None
-
     def output_dtype(self, schema: Schema, weighted: bool) -> DType:
         """Result type. Weighted COUNT/SUM/AVG are FLOAT (fractional weights)."""
         if self.func == "COUNT":

@@ -32,23 +32,28 @@ recipe) or to apply only its slice of an INSERT (``{"mode": "insert",
 
 Columnar result payload
 -----------------------
-Results ship **columnar, never row-by-row** — the storage layer's arrays
-go to the wire as-is::
+Results ship **columnar, never row-by-row**: a RESULT payload carries the
+relation's storage form as :mod:`repro.relational.layout` plans it — the
+same header and 64-byte-aligned slots as a page file or a shared
+segment::
 
-    u32 header_length | header JSON | column blocks...
+    u32 header_length | header JSON | zero padding | slots
 
-The JSON header carries ``visibility`` / ``sample_name`` / ``notes`` /
-``num_rows`` (plus ``repetitions_used`` on OPEN answers — an append-only
-extension older decoders ignore) and one descriptor per column: ``{"name", "dtype",
-"enc": "buf" | "dict"}``.  A ``buf`` block is ``u32 nbytes`` + the raw
-little-endian buffer (``int64`` for INT, ``float64`` for FLOAT, ``uint8``
-for BOOL).  A ``dict`` block is the TEXT column's dictionary encoding:
-``u32 nbytes`` + the vocabulary as a JSON string array, then ``u32
-nbytes`` + the ``int32`` little-endian code array — the vocabulary
-crosses once, however many rows reference it.  The decoder rebuilds the
-relation with :meth:`Relation.from_codes`, so the client-side relation is
-*born encoded* in the server's vocabulary and bit-identical to the
-in-process result.
+The header is the layout header (``num_rows``, ``columns`` with each
+slot's logical type, dtype, offset and TEXT vocabulary, ``extras``)
+plus the result's metadata: ``visibility``, ``sample_name``, ``notes``,
+and when present ``repetitions_used`` (OPEN answers), ``trace`` and
+``partial`` (a QUERYX partial aggregate's merge recipe).  Slot offsets
+count from the data start, the payload's first 64-byte boundary at or
+after the header's end.  INT/FLOAT/BOOL slots are the raw little-endian arrays; a TEXT
+slot is the ``int32`` code array, its vocabulary crossing once in the
+header however many rows reference it.  The client rebuilds the
+relation with :func:`~repro.relational.layout.decode_relation`, which
+validates every header field and slot and raises :class:`ProtocolError`
+on any malformed input; the relation is *born encoded* in the server's
+vocabulary and bit-identical to the in-process result.  Version 2 of
+the protocol introduced this payload; version 1 sent one length-prefixed
+block per column.
 
 Errors cross as ``{"code", "message", "data"}`` JSON
 (:func:`repro.errors.error_to_wire`); the client re-raises the same
@@ -63,16 +68,12 @@ import socket
 import struct
 from typing import Any
 
-import numpy as np
-
 from repro.core.result import QueryResult
 from repro.errors import MosaicError, ProtocolError, error_from_wire, error_to_wire
-from repro.relational.dtypes import CODES_DTYPE, DType
-from repro.relational.relation import Relation
-from repro.relational.schema import Field, Schema
+from repro.relational.layout import aligned, decode_relation, pack, plan_slots
 
 MAGIC = "mosaic"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Refuse frames beyond this size (both directions) so a corrupt or
 #: malicious length prefix cannot trigger an unbounded allocation.
@@ -102,14 +103,6 @@ _U32 = struct.Struct("<I")
 #: Bytes the length prefix counts beyond the payload (type + request id).
 #: A payload may be at most ``max_frame_bytes - FRAME_OVERHEAD_BYTES``.
 FRAME_OVERHEAD_BYTES = _TYPE_RID.size
-
-#: Wire buffer dtype per logical column type (always little-endian).
-_BUFFER_DTYPES = {
-    DType.INT: np.dtype("<i8"),
-    DType.FLOAT: np.dtype("<f8"),
-    DType.BOOL: np.dtype("<u1"),
-}
-
 
 # --------------------------------------------------------------------- #
 # Frames
@@ -225,74 +218,60 @@ def decode_queryx(payload: bytes) -> tuple[dict, str]:
 
 def encode_result(result: QueryResult, extra_header: dict | None = None) -> bytes:
     """Serialize a :class:`QueryResult` into a columnar wire payload."""
-    relation = result.relation
-    descriptors = []
-    blocks: list[bytes] = []
-    for field in relation.schema:
-        name, dtype = field.name, field.dtype
-        if dtype is DType.TEXT:
-            encoding = relation.encoding(name)
-            if encoding is None:
-                # No stored encoding (raw-constructor output): derive the
-                # dense dictionary once; it is memoized on the relation.
-                encoding = relation.dictionary(name)
-            vocab, codes = encoding
-            vocab_bytes = json_payload([str(v) for v in vocab])
-            code_bytes = np.ascontiguousarray(codes, dtype="<i4").tobytes()
-            blocks.append(_U32.pack(len(vocab_bytes)) + vocab_bytes)
-            blocks.append(_U32.pack(len(code_bytes)) + code_bytes)
-            descriptors.append({"name": name, "dtype": dtype.value, "enc": "dict"})
-        else:
-            buffer = np.ascontiguousarray(
-                relation.column(name), dtype=_BUFFER_DTYPES[dtype]
-            ).tobytes()
-            blocks.append(_U32.pack(len(buffer)) + buffer)
-            descriptors.append({"name": name, "dtype": dtype.value, "enc": "buf"})
+    layout = plan_slots(result.relation)
     header = {
+        **layout.header,
         "visibility": result.visibility,
         "sample_name": result.sample_name,
         "notes": list(result.notes),
-        "num_rows": relation.num_rows,
-        "columns": descriptors,
     }
-    # Append-only header extensions (older decoders ignore unknown keys):
-    # OPEN answers report how many repetitions the adaptive stream used,
-    # traced queries carry their serialized QueryTrace, and QUERYX partial
-    # responses attach their merge recipe via ``extra_header``.
+    # Optional keys: OPEN answers report how many repetitions the adaptive
+    # stream used, traced queries carry their serialized QueryTrace, and
+    # QUERYX partial responses attach their merge recipe via
+    # ``extra_header``.
     if result.repetitions_used is not None:
         header["repetitions_used"] = result.repetitions_used
     if result.trace is not None:
         header["trace"] = result.trace
     if extra_header:
         header.update(extra_header)
-    header = json_payload(header)
-    return b"".join([_U32.pack(len(header)), header, *blocks])
+    return pack(_header_block(header), layout)
+
+
+def _header_block(header: dict) -> bytes:
+    body = json_payload(header)
+    return _U32.pack(len(body)) + body
+
+
+def _split_result(payload: bytes) -> tuple[dict, int]:
+    """A result payload's JSON header and the offset of its data start."""
+    if len(payload) < _U32.size:
+        raise ProtocolError("truncated result payload")
+    (length,) = _U32.unpack_from(payload, 0)
+    end = _U32.size + length
+    if end > len(payload):
+        raise ProtocolError("truncated result payload")
+    header = parse_json_payload(payload[_U32.size : end])
+    if not isinstance(header, dict):
+        raise ProtocolError("result header must be a JSON object")
+    return header, aligned(end)
 
 
 def replace_header(payload: bytes, updates: dict) -> bytes:
     """Splice ``updates`` into a result payload's JSON header.
 
-    Re-encodes only the length-prefixed header block, leaving the column
-    blocks byte-identical — the server uses this to stamp post-encoding
-    phase timings (``encode_ms``) into the ``trace`` header field without
-    re-serializing the relation.
+    Re-encodes only the header, leaving the slots byte-identical — the
+    server uses this to stamp post-encoding phase timings (``encode_ms``)
+    into the ``trace`` header field without re-serializing the relation.
     """
-    if len(payload) < _U32.size:
-        raise ProtocolError("truncated result payload")
-    (length,) = _U32.unpack_from(payload, 0)
-    body_start = _U32.size + length
-    if body_start > len(payload):
-        raise ProtocolError("truncated result payload")
-    header = parse_json_payload(payload[_U32.size : body_start])
+    header, start = _split_result(payload)
     header.update(updates)
-    header_bytes = json_payload(header)
-    return b"".join(
-        [_U32.pack(len(header_bytes)), header_bytes, payload[body_start:]]
-    )
+    head = _header_block(header)
+    return b"".join([head, bytes(aligned(len(head)) - len(head)), payload[start:]])
 
 
 class _Cursor:
-    """Sequential reader over a result payload."""
+    """Sequential reader over a result-set payload."""
 
     __slots__ = ("data", "offset")
 
@@ -319,53 +298,32 @@ def decode_result(payload: bytes) -> QueryResult:
 def decode_result_with_header(payload: bytes) -> tuple[QueryResult, dict]:
     """Like :func:`decode_result`, also returning the raw JSON header.
 
-    The header exposes append-only extensions a plain :class:`QueryResult`
-    has no field for — notably the ``"partial"`` merge recipe on QUERYX
-    partial-aggregate responses.
+    The header exposes keys a plain :class:`QueryResult` has no field
+    for — notably the ``"partial"`` merge recipe on QUERYX
+    partial-aggregate responses.  Any malformed header or slot raises
+    :class:`ProtocolError`.
     """
-    cursor = _Cursor(payload)
-    header = parse_json_payload(cursor.block())
-    num_rows = int(header["num_rows"])
-    fields = []
-    encoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    plain: dict[str, np.ndarray] = {}
-    for descriptor in header["columns"]:
-        name = descriptor["name"]
-        dtype = DType(descriptor["dtype"])
-        fields.append(Field(name, dtype))
-        if descriptor["enc"] == "dict":
-            if dtype is not DType.TEXT:
-                raise ProtocolError(f"dict encoding on non-TEXT column {name!r}")
-            vocab = parse_json_payload(cursor.block())
-            codes = np.frombuffer(cursor.block(), dtype="<i4").astype(
-                CODES_DTYPE, copy=False
-            )
-            if codes.shape[0] != num_rows:
-                raise ProtocolError(
-                    f"column {name!r}: {codes.shape[0]} codes for {num_rows} rows"
-                )
-            encoded[name] = (vocab, codes)
-        else:
-            buffer_dtype = _BUFFER_DTYPES.get(dtype)
-            if buffer_dtype is None:
-                raise ProtocolError(f"buf encoding on {dtype.value} column {name!r}")
-            values = np.frombuffer(cursor.block(), dtype=buffer_dtype)
-            if values.shape[0] != num_rows:
-                raise ProtocolError(
-                    f"column {name!r}: {values.shape[0]} values for {num_rows} rows"
-                )
-            plain[name] = values
-    relation = Relation.from_codes(Schema(fields), encoded, plain)
-    repetitions_used = header.get("repetitions_used")
+    header, start = _split_result(payload)
+    relation, _ = decode_relation(header, memoryview(payload)[start:], ProtocolError)
+    visibility, sample_name = header.get("visibility"), header.get("sample_name")
+    notes = header.get("notes") or []
+    repetitions_used, trace = header.get("repetitions_used"), header.get("trace")
+    if not (
+        isinstance(notes, list)
+        and all(isinstance(note, str) for note in notes)
+        and isinstance(visibility, (str, type(None)))
+        and isinstance(sample_name, (str, type(None)))
+        and (repetitions_used is None or type(repetitions_used) is int)
+        and isinstance(trace, (dict, type(None)))
+    ):
+        raise ProtocolError("malformed result metadata")
     result = QueryResult(
         relation,
-        visibility=header.get("visibility"),
-        sample_name=header.get("sample_name"),
-        notes=tuple(header.get("notes") or ()),
-        repetitions_used=(
-            None if repetitions_used is None else int(repetitions_used)
-        ),
-        trace=header.get("trace"),
+        visibility=visibility,
+        sample_name=sample_name,
+        notes=tuple(notes),
+        repetitions_used=repetitions_used,
+        trace=trace,
     )
     return result, header
 

@@ -2,9 +2,10 @@
 
 See ``ARCHITECTURE.md`` §10.  Three layers:
 
-- :mod:`repro.storage.pages` — the on-disk columnar page format, byte-
-  identical to the shared-memory layout so reopening is an ``mmap`` plus a
-  header parse (O(1) in rows) and scans read the page file zero-copy.
+- :mod:`repro.storage.pages` — the on-disk carrier of the column layout
+  (:mod:`repro.relational.layout`), so reopening is an ``mmap`` plus a
+  validated header parse (O(1) in rows) and scans read the page file
+  zero-copy.
 - :mod:`repro.storage.wal` — the framed, checksummed write-ahead log with
   torn-tail recovery and monotonic LSNs.
 - :mod:`repro.storage.store` — the :class:`DurableStore` tying both into
@@ -16,7 +17,6 @@ from repro.storage.pages import (
     MappedRelation,
     PageFormatError,
     open_page,
-    read_descriptor,
     write_page,
 )
 from repro.storage.store import DurableStore, StorageError, WEIGHTS_EXTRA
@@ -31,6 +31,5 @@ __all__ = [
     "WalError",
     "WriteAheadLog",
     "open_page",
-    "read_descriptor",
     "write_page",
 ]

@@ -194,6 +194,38 @@ class TestResultCodec:
             protocol.decode_result(body[: len(body) - 3])
 
 
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            {"notes": "not a list"},
+            {"notes": [1]},
+            {"visibility": 3},
+            {"sample_name": ["S"]},
+            {"repetitions_used": "x"},
+            {"trace": [1, 2]},
+        ],
+        ids=lambda updates: "-".join(f"{k}={v}" for k, v in updates.items()),
+    )
+    def test_malformed_metadata_raises_protocol_error(self, updates):
+        body = protocol.encode_result(QueryResult(Relation.from_dict({"n": [1, 2]})))
+        with pytest.raises(ProtocolError, match="metadata"):
+            protocol.decode_result(protocol.replace_header(body, updates))
+
+    def test_non_object_header_raises_protocol_error(self):
+        header = protocol.json_payload([1, 2])
+        with pytest.raises(ProtocolError, match="JSON object"):
+            protocol.decode_result(len(header).to_bytes(4, "little") + header)
+
+    def test_replace_header_keeps_slots_decodable(self):
+        relation = Relation.from_dict({"t": ["b", "a"], "n": [1, 2]})
+        body = protocol.encode_result(QueryResult(relation))
+        # A header that grows past a 64-byte boundary moves the data start.
+        spliced = protocol.replace_header(body, {"trace": {"pad": "x" * 200}})
+        decoded = protocol.decode_result(spliced)
+        assert decoded.trace == {"pad": "x" * 200}
+        assert decoded.rows() == QueryResult(relation).rows()
+
+
 class TestErrorCodes:
     def test_every_subclass_is_registered(self):
         registered = set(errors.WIRE_CODES.values())

@@ -354,6 +354,24 @@ class TestBackpressureAndLimits:
         finally:
             sock.close()
 
+    def test_version_1_hello_rejected(self, tiny_server):
+        server, _ = tiny_server
+        sock = socket.create_connection(("127.0.0.1", server.port))
+        try:
+            protocol.write_frame(
+                sock,
+                protocol.HELLO,
+                0,
+                protocol.json_payload({"magic": protocol.MAGIC, "version": 1}),
+            )
+            frame_type, _, payload = protocol.read_frame(sock)
+            assert frame_type == protocol.ERROR
+            error = protocol.decode_error(payload)
+            assert isinstance(error, ProtocolError)
+            assert "unsupported protocol version 1" in str(error)
+        finally:
+            sock.close()
+
     def test_unknown_frame_type_reported(self, tiny_server):
         server, _ = tiny_server
         sock = raw_connect(server.port)

@@ -1,20 +1,22 @@
 """The on-disk columnar page format: round-trips, alignment, corruption."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from repro.errors import SchemaError
 from repro.relational.dtypes import DType
+from repro.relational.layout import ALIGNMENT
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.relational.shm import _ALIGNMENT
 from repro.storage.pages import (
     MappedRelation,
     PAGE_MAGIC,
     PageFormatError,
     open_page,
-    read_descriptor,
     write_page,
 )
 
@@ -72,9 +74,13 @@ def test_extras_round_trip(tmp_path):
 def test_slot_offsets_are_aligned(tmp_path):
     path = tmp_path / "t.page"
     write_page(path, sample_relation(), {"w": np.ones(100)})
-    descriptor = read_descriptor(path)
-    for slot in (*descriptor.columns, *descriptor.extras):
-        assert slot.offset % _ALIGNMENT == 0
+    data = path.read_bytes()
+    _, length = struct.unpack_from("<II", data, len(PAGE_MAGIC))
+    start = len(PAGE_MAGIC) + 8
+    header = json.loads(data[start : start + length])
+    data_start = -(-(start + length) // ALIGNMENT) * ALIGNMENT
+    for slot in (*header["columns"], *header["extras"]):
+        assert (data_start + slot["offset"]) % ALIGNMENT == 0
 
 
 def test_mapped_views_are_read_only_and_zero_copy(tmp_path):
@@ -110,14 +116,14 @@ def test_atomic_write_replaces_existing(tmp_path):
 
 def test_missing_file_raises(tmp_path):
     with pytest.raises(PageFormatError):
-        read_descriptor(tmp_path / "nope.page")
+        open_page(tmp_path / "nope.page")
 
 
 def test_bad_magic_raises(tmp_path):
     path = tmp_path / "t.page"
     path.write_bytes(b"NOTAPAGE" + b"\x00" * 64)
     with pytest.raises(PageFormatError, match="bad magic"):
-        read_descriptor(path)
+        open_page(path)
 
 
 def test_truncated_payload_raises(tmp_path):
@@ -126,7 +132,7 @@ def test_truncated_payload_raises(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 64])
     with pytest.raises(PageFormatError, match="claims bytes"):
-        read_descriptor(path)
+        open_page(path)
 
 
 def test_truncated_header_raises(tmp_path):
@@ -134,14 +140,14 @@ def test_truncated_header_raises(tmp_path):
     write_page(path, sample_relation())
     path.write_bytes(path.read_bytes()[: len(PAGE_MAGIC) + 6])
     with pytest.raises(PageFormatError):
-        read_descriptor(path)
+        open_page(path)
 
 
 def test_extra_validation(tmp_path):
     relation = sample_relation(10)
-    with pytest.raises(PageFormatError, match="rows"):
+    with pytest.raises(SchemaError, match="rows"):
         write_page(tmp_path / "a.page", relation, {"w": np.ones(3)})
-    with pytest.raises(PageFormatError, match="numeric"):
+    with pytest.raises(SchemaError, match="numeric"):
         write_page(
             tmp_path / "b.page",
             relation,
