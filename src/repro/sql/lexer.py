@@ -133,7 +133,12 @@ def _scan_rows(text: str, pos: int) -> tuple[int, tuple[tuple[Any, ...], ...]] |
 
 
 def _unquote(lexeme: str) -> str:
-    return lexeme[1:-1].replace("''", "'")
+    value = lexeme[1:-1].replace("''", "'")
+    # ``replace`` returns a fresh object even for a one-character result;
+    # indexing yields the interpreter's shared character object, the same
+    # one a character read straight from the text is, so equal values share
+    # (and pickle) alike however they were spelled.
+    return value[0] if len(value) == 1 else value
 
 
 def parse_number(text: str) -> int | float:
