@@ -56,9 +56,6 @@ class Catalog:
         if name in self._auxiliary or name in self._populations or name in self._samples:
             raise DuplicateRelationError(name)
 
-    def exists(self, name: str) -> bool:
-        return name in self._auxiliary or name in self._populations or name in self._samples
-
     def kind_of(self, name: str) -> str:
         """One of ``"auxiliary" | "population" | "sample"``."""
         if name in self._auxiliary:
@@ -92,10 +89,6 @@ class Catalog:
         if relation is None:
             raise UnknownRelationError(name)
         return relation
-
-    @property
-    def auxiliary_names(self) -> list[str]:
-        return sorted(self._auxiliary)
 
     # ------------------------------------------------------------------ #
     # Populations
@@ -137,12 +130,6 @@ class Catalog:
             return None
         return self._populations[self._global_population]
 
-    def require_global_population(self) -> PopulationRelation:
-        gp = self.global_population
-        if gp is None:
-            raise CatalogError("no GLOBAL POPULATION has been created")
-        return gp
-
     # ------------------------------------------------------------------ #
     # Samples
     # ------------------------------------------------------------------ #
@@ -163,10 +150,6 @@ class Catalog:
             raise UnknownRelationError(name)
         return sample
 
-    @property
-    def sample_names(self) -> list[str]:
-        return sorted(self._samples)
-
     def samples_of(self, population_name: str) -> list[SampleRelation]:
         """Every sample drawn from ``population_name`` (registration order)."""
         return [s for s in self._samples.values() if s.population == population_name]
@@ -184,12 +167,6 @@ class Catalog:
         population.add_marginal(metadata_name, marginal)
         self._metadata_owner[metadata_name] = population_name
         self._bump()
-
-    def metadata_population(self, metadata_name: str) -> str:
-        owner = self._metadata_owner.get(metadata_name)
-        if owner is None:
-            raise UnknownRelationError(metadata_name)
-        return owner
 
     def resolve_metadata_population(self, metadata_name: str, explicit: str | None) -> str:
         """Which population a ``CREATE METADATA`` statement targets.

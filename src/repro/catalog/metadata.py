@@ -224,17 +224,6 @@ class Marginal:
         keys = set(mine) | set(theirs)
         return float(sum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys))
 
-    def to_relation(self) -> Relation:
-        """Materialise as a relation of ``(*attributes, mass)`` rows."""
-        columns: dict[str, list] = {a: [] for a in self.attributes}
-        masses: list[float] = []
-        for key, mass in sorted(self._cells.items(), key=lambda kv: tuple(map(str, kv[0]))):
-            for attribute, value in zip(self.attributes, key):
-                columns[attribute].append(value)
-            masses.append(mass)
-        columns["mass"] = masses
-        return Relation.from_dict(columns)
-
     def __repr__(self) -> str:
         label = self.name or "marginal"
         return (

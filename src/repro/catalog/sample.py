@@ -127,19 +127,6 @@ class SampleRelation:
         self._weights = weights
         self.bump_version()
 
-    def reset_weights(self) -> None:
-        """Back to the all-ones initialisation."""
-        self._weights = np.ones(self.relation.num_rows, dtype=np.float64)
-        self.bump_version()
-
-    def scale_weights_to_total(self, target_total: float) -> None:
-        """Rescale so weights sum to ``target_total`` (population size)."""
-        current = self.total_weight
-        if current <= 0:
-            raise CatalogError(f"sample {self.name!r} has zero total weight")
-        self._weights = self._weights * (target_total / current)
-        self.bump_version()
-
     def effective_sample_size(self) -> float:
         """Kish's effective sample size ``(Σw)² / Σw²``.
 

@@ -114,10 +114,6 @@ class Connection:
         )
         return protocol.decode_result_set(payload)
 
-    def query(self, sql: str) -> QueryResult:
-        """Alias of :meth:`execute` for read-only callers."""
-        return self.execute(sql)
-
     def query_extended(self, envelope: dict, sql: str) -> tuple[QueryResult, dict]:
         """Send a QUERYX frame; returns the result plus its raw JSON header.
 
@@ -243,9 +239,6 @@ class Client:
 
     def execute_script(self, sql: str) -> list[QueryResult]:
         return self._call(Connection.execute_script, sql)
-
-    def query(self, sql: str) -> QueryResult:
-        return self.execute(sql)
 
     def stats(self) -> dict:
         return self._call(Connection.stats)

@@ -164,10 +164,6 @@ class MosaicDB:
         """Run a ``;``-separated script, returning one result per statement."""
         return self.session.execute_script(sql)
 
-    def query(self, sql: str) -> QueryResult:
-        """Alias of :meth:`execute` for read-only callers."""
-        return self.session.execute(sql)
-
     def execute_statement(self, statement, sql_text: str | None = None) -> QueryResult:
         """Run an already-parsed (programmatic) statement AST."""
         return self.session.execute_statement(statement, sql_text=sql_text)

@@ -13,7 +13,7 @@ issue concurrent statements from distinct sessions, one per thread.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -153,10 +153,6 @@ class Session:
         self._check_open()
         return self.engine.execute_script(sql, self)
 
-    def query(self, sql: str) -> "QueryResult":
-        """Alias of :meth:`execute` for read-only callers."""
-        return self.execute(sql)
-
     def execute_statement(self, statement, sql_text: str | None = None) -> "QueryResult":
         """Run an already-parsed (programmatic) statement AST."""
         self._check_open()
@@ -165,16 +161,6 @@ class Session:
     # ------------------------------------------------------------------ #
     # Programmatic API (delegated; engine handles locking)
     # ------------------------------------------------------------------ #
-
-    @property
-    def catalog(self):
-        return self.engine.catalog
-
-    def ingest_relation(self, name: str, relation: "Relation") -> None:
-        self.engine.ingest_relation(name, relation)
-
-    def ingest_rows(self, name: str, rows: Iterable[Sequence[Any]]) -> None:
-        self.engine.ingest_rows(name, rows)
 
     def draw_sample(
         self,
@@ -209,9 +195,6 @@ class Session:
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Engine-wide cache counters (shared across sessions)."""
         return self.engine.cache_stats()
-
-    def clear_caches(self) -> None:
-        self.engine.clear_caches()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

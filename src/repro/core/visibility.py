@@ -38,17 +38,5 @@ class Visibility(enum.Enum):
                 return member
         raise VisibilityError(f"unknown visibility level: {text!r}")
 
-    @property
-    def assumes_open_world(self) -> bool:
-        return self is not Visibility.CLOSED
-
-    @property
-    def may_reweight(self) -> bool:
-        return self is not Visibility.CLOSED
-
-    @property
-    def may_generate(self) -> bool:
-        return self is Visibility.OPEN
-
     def __str__(self) -> str:
         return self.value

@@ -26,7 +26,7 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -72,9 +72,6 @@ class MswgConfig:
     coverage_squared: bool = True
     steps_per_epoch: int | None = None  # default: ceil(sample rows / batch)
     seed: int = 0
-
-    def with_seed(self, seed: int) -> "MswgConfig":
-        return replace(self, seed=seed)
 
 
 def _doubling_ranges(n: int, first: int) -> Iterator[tuple[int, int]]:

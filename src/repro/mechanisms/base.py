@@ -15,9 +15,10 @@ class SamplingMechanism(ABC):
 
     A mechanism must be able to (a) report per-tuple inclusion
     probabilities ``PrS(t)`` against a reference population and (b) draw a
-    concrete sample.  Inverse-probability reweighting (known-mechanism
-    SEMI-OPEN evaluation) uses (a); ``CREATE SAMPLE ... USING MECHANISM``
-    uses (b).
+    concrete sample.  ``CREATE SAMPLE ... USING MECHANISM`` uses (b);
+    known-mechanism SEMI-OPEN evaluation never sees the population, so it
+    weights by the declaration alone
+    (:func:`repro.reweight.inverse_probability.declared_mechanism_weights`).
     """
 
     @abstractmethod
@@ -31,16 +32,6 @@ class SamplingMechanism(ABC):
     @abstractmethod
     def describe(self) -> str:
         """Human-readable rendering, e.g. ``UNIFORM PERCENT 10``."""
-
-    def inverse_probability_weights(self, population: Relation, sample_indices: np.ndarray) -> np.ndarray:
-        """Weights ``1 / PrS(t)`` for the sampled tuples (paper Sec. 3, [7])."""
-        probabilities = self.inclusion_probabilities(population)[sample_indices]
-        if np.any(probabilities <= 0.0):
-            raise ReweightError(
-                f"mechanism {self.describe()} assigned zero inclusion probability "
-                "to a sampled tuple"
-            )
-        return 1.0 / probabilities
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"

@@ -9,10 +9,10 @@ on.  It deliberately mirrors a tiny slice of a real column store:
   table backed by numpy arrays.
 - :mod:`repro.relational.expressions` / ``predicates`` — vectorised scalar
   and boolean expression trees.
-- :mod:`repro.relational.aggregates` — weighted and unweighted aggregates
-  (``COUNT(*) -> SUM(weight)`` rewriting lives here).
-- :mod:`repro.relational.groupby` / ``ops`` — group-by, filter, project,
-  union, sort, distinct.
+- :mod:`repro.relational.aggregates` / ``kernels`` — weighted and
+  unweighted aggregates (``COUNT(*) -> SUM(weight)``).
+- :mod:`repro.relational.groupby` / ``ops`` — group-by, project, union,
+  distinct.
 """
 
 from repro.relational.dtypes import DType

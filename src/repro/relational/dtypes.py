@@ -119,19 +119,6 @@ class DType(enum.Enum):
         except (ValueError, TypeError) as exc:
             raise TypeMismatchError(f"cannot coerce values to {self.value}: {exc}") from exc
 
-    def coerce_scalar(self, value: Any) -> Any:
-        """Coerce a single Python value to this type (Python-native result)."""
-        if self is DType.TEXT:
-            return str(value)
-        if self is DType.BOOL:
-            return bool(value)
-        if self is DType.INT:
-            try:
-                return _exact_int(value)
-            except (ValueError, TypeError) as exc:
-                raise TypeMismatchError(f"cannot coerce {value!r} to INT: {exc}") from exc
-        return float(value)
-
 
 _INT_MIN, _INT_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 

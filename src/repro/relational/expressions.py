@@ -67,6 +67,13 @@ class ColumnRef(Expr):
         return hash(("ColumnRef", self.name))
 
 
+def sql_constant(value: Any) -> str:
+    """``value`` as SQL source text: a string is quoted, its quotes doubled."""
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return str(value)
+
+
 class Literal(Expr):
     """A constant value broadcast to every row."""
 
@@ -84,9 +91,7 @@ class Literal(Expr):
         return frozenset()
 
     def to_sql(self) -> str:
-        if self._dtype is DType.TEXT:
-            return f"'{self.value}'"
-        return str(self.value)
+        return sql_constant(self.value)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Literal) and other.value == self.value

@@ -18,9 +18,10 @@ at once:
 and the result relation is assembled column-wise via
 :meth:`Relation.from_groups` — no intermediate Python row tuples.
 
-Weighted semantics mirror :func:`repro.relational.aggregates.compute_aggregate`
-exactly: a group whose rows all carry zero weight "does not exist" and is
-dropped from the output; MIN/MAX ignore zero-weight rows.
+Weighted semantics match the row-wise reference ``compute_aggregate`` in
+``tests/relational/oracles.py`` exactly: a group whose rows all carry zero
+weight "does not exist" and is dropped from the output; MIN/MAX ignore
+zero-weight rows.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""Relational operators: filter, project, union, distinct, limit.
+"""Relational operators: project, union, distinct.
 
-These are the physical operators the query engine composes.  Each takes and
+These are the physical operators the query engine composes (a WHERE mask
+is applied by :meth:`Relation.filter`, a LIMIT by :meth:`Relation.head`).  Each takes and
 returns :class:`~repro.relational.relation.Relation` values; none mutates
 its input.
 """
@@ -12,19 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.relational.dtypes import DType
 from repro.relational.expressions import ColumnRef, Expr, validate_expression
 from repro.relational.groupby import distinct_indices
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
-
-
-def filter_rows(relation: Relation, predicate: Expr) -> Relation:
-    """Keep rows satisfying ``predicate`` (a BOOL-typed expression)."""
-    dtype = validate_expression(predicate, relation.schema)
-    if dtype is not DType.BOOL:
-        raise SchemaError(f"WHERE predicate must be boolean, got {dtype.value}")
-    return relation.filter(predicate.evaluate(relation))
 
 
 def project_expressions(
@@ -70,9 +62,3 @@ def distinct(relation: Relation, keys: Sequence[str] | None = None) -> Relation:
     keys = list(keys) if keys is not None else list(relation.column_names)
     indices = distinct_indices(relation, keys)
     return relation.take(np.sort(indices))
-
-
-def limit(relation: Relation, n: int) -> Relation:
-    if n < 0:
-        raise SchemaError(f"LIMIT must be non-negative, got {n}")
-    return relation.head(n)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import TypeMismatchError
 from repro.relational.dtypes import DType
-from repro.relational.expressions import ColumnRef, Expr, Literal
+from repro.relational.expressions import ColumnRef, Expr, Literal, sql_constant
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -170,7 +170,7 @@ class InList(Expr):
         return self.operand.referenced_columns()
 
     def to_sql(self) -> str:
-        rendered = ", ".join(repr(v) for v in self.values)
+        rendered = ", ".join(sql_constant(v) for v in self.values)
         keyword = "NOT IN" if self.negated else "IN"
         return f"({self.operand.to_sql()} {keyword} ({rendered}))"
 
@@ -242,10 +242,6 @@ class Like(Expr):
         self.negated = negated
         self._regex = re.compile(_like_to_regex(pattern), re.DOTALL)
 
-    def matches(self, value) -> bool:
-        """Whether one value matches the pattern (negation NOT applied)."""
-        return self._regex.fullmatch(str(value)) is not None
-
     def evaluate(self, relation: Relation) -> np.ndarray:
         match = self._regex.fullmatch
         encoding = _encoded_column(self.operand, relation)
@@ -281,8 +277,7 @@ class Like(Expr):
 
     def to_sql(self) -> str:
         keyword = "NOT LIKE" if self.negated else "LIKE"
-        escaped = self.pattern.replace("'", "''")
-        return f"({self.operand.to_sql()} {keyword} '{escaped}')"
+        return f"({self.operand.to_sql()} {keyword} {sql_constant(self.pattern)})"
 
 
 def _like_to_regex(pattern: str) -> str:
@@ -365,14 +360,3 @@ class TruePredicate(Expr):
 
     def to_sql(self) -> str:
         return "TRUE"
-
-
-def conjoin(predicates: Sequence[Expr]) -> Expr:
-    """AND together a possibly-empty sequence of predicates."""
-    remaining = [p for p in predicates if not isinstance(p, TruePredicate)]
-    if not remaining:
-        return TruePredicate()
-    result = remaining[0]
-    for pred in remaining[1:]:
-        result = And(result, pred)
-    return result

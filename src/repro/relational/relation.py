@@ -75,11 +75,6 @@ def compact_codes(
     return remap[codes].astype(CODES_DTYPE, copy=False), present, counts[present]
 
 
-def reset_dictionary_stats() -> None:
-    for key in _STATS:
-        _STATS[key] = 0
-
-
 class Relation:
     """An immutable, schema-typed columnar table.
 

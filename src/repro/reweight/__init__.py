@@ -3,7 +3,8 @@
 Two regimes:
 
 - **Known mechanism** — reweight each tuple by the inverse of its inclusion
-  probability (:mod:`repro.reweight.inverse_probability`).
+  probability, derived from the sample's declared mechanism
+  (:func:`~repro.reweight.inverse_probability.declared_mechanism_weights`).
 - **Unknown mechanism** — Iterative Proportional Fitting against the
   population marginals (:mod:`repro.reweight.ipf`), the technique Mosaic
   inherits from Themis [42].  Our implementation rakes tuple weights
@@ -13,14 +14,10 @@ Two regimes:
 """
 
 from repro.reweight.ipf import IpfResult, ipf_reweight
-from repro.reweight.inverse_probability import (
-    declared_mechanism_weights,
-    mechanism_weights_from_population,
-)
+from repro.reweight.inverse_probability import declared_mechanism_weights
 
 __all__ = [
     "ipf_reweight",
     "IpfResult",
-    "mechanism_weights_from_population",
     "declared_mechanism_weights",
 ]

@@ -48,10 +48,6 @@ class CellAssignment:
         occupied[self.row_cell] = True
         return occupied
 
-    def achieved_mass(self, weights: np.ndarray) -> np.ndarray:
-        """Current weighted mass per cell."""
-        return np.bincount(self.row_cell, weights=weights, minlength=self.num_cells)
-
     def unreachable_mass(self) -> float:
         """Marginal mass in cells with no sample rows at all.
 

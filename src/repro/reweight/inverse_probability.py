@@ -1,14 +1,10 @@
 """Known-mechanism reweighting: weights ``1 / PrS(t)`` (paper Sec. 4.1).
 
-Two entry points, matching the two situations a Mosaic deployment sees:
-
-- :func:`mechanism_weights_from_population` — the reference population is
-  materialised (experiment harnesses, synthetic workloads): evaluate the
-  mechanism's inclusion probabilities directly.
-- :func:`declared_mechanism_weights` — only the *declaration* is available
-  (the real Mosaic setting, where populations are never stored).  Uniform
-  mechanisms need nothing else; stratified mechanisms recover per-stratum
-  population counts from a 1-D marginal over the stratification attribute.
+:func:`declared_mechanism_weights` works from the sample's *declaration*
+alone (the real Mosaic setting, where populations are never stored).
+Uniform mechanisms need nothing else; stratified mechanisms recover
+per-stratum population counts from a 1-D marginal over the stratification
+attribute.
 """
 
 from __future__ import annotations
@@ -18,20 +14,9 @@ import numpy as np
 from repro.catalog.metadata import Marginal
 from repro.catalog.sample import SampleRelation
 from repro.errors import ReweightError
-from repro.mechanisms.base import SamplingMechanism
 from repro.mechanisms.stratified import StratifiedMechanism
 from repro.mechanisms.uniform import UniformMechanism
 from repro.relational.groupby import group_rows
-from repro.relational.relation import Relation
-
-
-def mechanism_weights_from_population(
-    mechanism: SamplingMechanism,
-    population: Relation,
-    sample_indices: np.ndarray,
-) -> np.ndarray:
-    """Exact inverse-probability weights given the materialised population."""
-    return mechanism.inverse_probability_weights(population, sample_indices)
 
 
 def declared_mechanism_weights(

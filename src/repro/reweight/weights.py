@@ -2,57 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ReweightError
-
-
-@dataclass(frozen=True)
-class WeightSummary:
-    """Diagnostics of a weight vector.
-
-    ``degeneracy`` is ``1 - ESS/n``: 0 for uniform weights, approaching 1
-    when a handful of tuples dominate the total weight.
-    """
-
-    total: float
-    minimum: float
-    maximum: float
-    effective_sample_size: float
-    zero_fraction: float
-    degeneracy: float
-
-
-def summarize(weights: np.ndarray) -> WeightSummary:
-    """Summary statistics for a weight vector."""
-    weights = np.asarray(weights, dtype=np.float64)
-    n = weights.shape[0]
-    if n == 0:
-        return WeightSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    total = float(np.sum(weights))
-    sum_sq = float(np.sum(weights * weights))
-    ess = total * total / sum_sq if sum_sq > 0 else 0.0
-    return WeightSummary(
-        total=total,
-        minimum=float(np.min(weights)),
-        maximum=float(np.max(weights)),
-        effective_sample_size=ess,
-        zero_fraction=float(np.mean(weights == 0.0)),
-        degeneracy=1.0 - ess / n,
-    )
-
-
-def normalize_to_total(weights: np.ndarray, target_total: float) -> np.ndarray:
-    """Scale ``weights`` so they sum to ``target_total``."""
-    weights = np.asarray(weights, dtype=np.float64)
-    current = float(np.sum(weights))
-    if current <= 0.0:
-        raise ReweightError("cannot normalise a weight vector with zero total")
-    if target_total < 0.0:
-        raise ReweightError(f"target total must be non-negative, got {target_total}")
-    return weights * (target_total / current)
 
 
 def uniform_weights(n: int, total: float) -> np.ndarray:

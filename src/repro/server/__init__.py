@@ -8,6 +8,6 @@
 - ``python -m repro.server`` — the standalone entrypoint.
 """
 
-from repro.server.server import MosaicServer, serve
+from repro.server.server import MosaicServer
 
-__all__ = ["MosaicServer", "serve"]
+__all__ = ["MosaicServer"]

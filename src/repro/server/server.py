@@ -818,10 +818,3 @@ class MosaicServer:
         registry (caches, pool, OPEN adaptive) plus the server's own
         (requests, errors, latency histogram)."""
         return self.engine.metrics.render_prometheus() + self.metrics.render_prometheus()
-
-
-async def serve(engine: Engine | Any, host: str = "127.0.0.1", port: int = 7744, **kwargs) -> MosaicServer:
-    """Start a :class:`MosaicServer` and return it (convenience wrapper)."""
-    server = MosaicServer(engine, host, port, **kwargs)
-    await server.start()
-    return server

@@ -58,7 +58,7 @@ class TestAuxiliary:
 class TestPopulations:
     def test_global_population(self, catalog):
         assert catalog.global_population.name == "GP"
-        assert catalog.require_global_population().is_global
+        assert catalog.global_population.is_global
 
     def test_second_global_rejected(self, catalog):
         with pytest.raises(CatalogError, match="already exists"):
@@ -84,10 +84,6 @@ class TestPopulations:
     def test_population_neither_global_nor_derived_rejected(self):
         with pytest.raises(CatalogError):
             PopulationRelation("P", Schema.of(x=DType.INT))
-
-    def test_no_global_population_error(self):
-        with pytest.raises(CatalogError, match="GLOBAL POPULATION"):
-            Catalog().require_global_population()
 
 
 class TestSamples:
@@ -139,17 +135,6 @@ class TestSampleWeights:
         with pytest.raises(Exception):
             sample.set_weights(np.ones(5))
 
-    def test_scale_to_total(self):
-        sample = make_sample()
-        sample.scale_weights_to_total(30.0)
-        assert sample.total_weight == pytest.approx(30.0)
-
-    def test_reset(self):
-        sample = make_sample()
-        sample.set_weights(np.array([5.0, 5.0, 5.0]))
-        sample.reset_weights()
-        assert sample.total_weight == 3.0
-
     def test_effective_sample_size_uniform(self):
         sample = make_sample()
         assert sample.effective_sample_size() == pytest.approx(3.0)
@@ -170,7 +155,6 @@ class TestMetadataRegistry:
     def test_register_and_lookup(self, catalog):
         marginal = Marginal(["country"], {("UK",): 100})
         catalog.register_metadata("GP_M1", "GP", marginal)
-        assert catalog.metadata_population("GP_M1") == "GP"
         assert "GP_M1" in catalog.population("GP").marginals
 
     def test_metadata_attribute_must_exist(self, catalog):
@@ -213,12 +197,14 @@ class TestDrop:
     def test_drop_table(self, catalog):
         catalog.create_auxiliary("aux", Relation.from_dict({"x": [1]}))
         catalog.drop("TABLE", "aux")
-        assert not catalog.exists("aux")
+        with pytest.raises(UnknownRelationError):
+            catalog.kind_of("aux")
 
     def test_drop_sample(self, catalog):
         catalog.create_sample(make_sample())
         catalog.drop("SAMPLE", "S")
-        assert not catalog.exists("S")
+        with pytest.raises(UnknownRelationError):
+            catalog.kind_of("S")
 
     def test_drop_population_with_samples_rejected(self, catalog):
         catalog.create_sample(make_sample())

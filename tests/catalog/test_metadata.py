@@ -119,9 +119,3 @@ class TestOperations:
         m2 = Marginal(["b"], {("x",): 1})
         with pytest.raises(CatalogError):
             m1.l1_distance(m2)
-
-    def test_to_relation_round_trip(self):
-        m = Marginal(["a"], {("x",): 3.0, ("y",): 1.0})
-        rel = m.to_relation()
-        back = Marginal.from_relation(["a"], rel, "mass")
-        assert back.l1_distance(m) == 0.0

@@ -117,6 +117,10 @@ class TestAggregates:
         with pytest.raises(SqlCompileError, match="cannot be combined"):
             execute_select(q("SELECT *, COUNT(*) FROM F GROUP BY carrier"), rel)
 
+    def test_non_boolean_where_rejected(self, rel):
+        with pytest.raises(SqlCompileError, match="must be boolean"):
+            execute_select(q("SELECT * FROM F WHERE distance"), rel)
+
     def test_order_by_aggregate_alias(self, rel):
         out = execute_select(
             q("SELECT carrier, COUNT(*) AS n FROM F GROUP BY carrier ORDER BY n DESC"),

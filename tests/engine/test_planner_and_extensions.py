@@ -130,11 +130,3 @@ class TestVisibilityEnum:
 
         with pytest.raises(VisibilityError):
             Visibility.parse("ajar")
-
-    def test_capability_flags(self):
-        from repro.core.visibility import Visibility
-
-        assert not Visibility.CLOSED.assumes_open_world
-        assert Visibility.SEMI_OPEN.may_reweight
-        assert not Visibility.SEMI_OPEN.may_generate
-        assert Visibility.OPEN.may_generate

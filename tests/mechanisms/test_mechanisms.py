@@ -57,7 +57,7 @@ class TestUniform:
     def test_inverse_probability_weights(self, population):
         mech = UniformMechanism(10)
         idx = mech.draw(population, np.random.default_rng(0))
-        weights = mech.inverse_probability_weights(population, idx)
+        weights = 1.0 / mech.inclusion_probabilities(population)[idx]
         assert np.allclose(weights, 10.0)
         # Weighted sample size estimates the population size exactly.
         assert np.sum(weights) == pytest.approx(population.num_rows)
@@ -88,7 +88,7 @@ class TestStratified:
         mech = StratifiedMechanism("stratum", 20)
         rng = np.random.default_rng(2)
         idx = mech.draw(population, rng)
-        weights = mech.inverse_probability_weights(population, idx)
+        weights = 1.0 / mech.inclusion_probabilities(population)[idx]
         sampled = population.take(idx)
         # Per-stratum weighted counts equal true stratum sizes (exactly,
         # because allocation within a stratum is uniform).
@@ -126,7 +126,7 @@ class TestPredicateBiased:
     def test_inverse_weights_debias_exactly(self, population):
         mech = PredicateBiasedMechanism(self.predicate(), percent=10, bias=0.95)
         idx = mech.draw(population, np.random.default_rng(4))
-        weights = mech.inverse_probability_weights(population, idx)
+        weights = 1.0 / mech.inclusion_probabilities(population)[idx]
         sampled = population.take(idx)
         matching = np.asarray(sampled.column("value") > 0.5)
         true_matching = int(np.sum(population.column("value") > 0.5))
@@ -149,6 +149,7 @@ class TestPredicateBiased:
 class TestCustom:
     def test_probabilities_used(self, population):
         mech = CustomMechanism(lambda rel: np.full(rel.num_rows, 0.05), label="flat5")
+        assert mech.describe() == "flat5"
         probs = mech.inclusion_probabilities(population)
         assert np.allclose(probs, 0.05)
         idx = mech.draw(population, np.random.default_rng(6))
@@ -164,8 +165,3 @@ class TestCustom:
         mech = CustomMechanism(lambda rel: np.full(rel.num_rows, 1.5))
         with pytest.raises(ReweightError, match="0, 1"):
             mech.inclusion_probabilities(population)
-
-    def test_zero_probability_sampled_tuple_raises(self, population):
-        mech = CustomMechanism(lambda rel: np.zeros(rel.num_rows))
-        with pytest.raises(ReweightError, match="zero inclusion"):
-            mech.inverse_probability_weights(population, np.array([0]))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.relational import relation as relation_module
 from repro.relational.dtypes import CODES_DTYPE, DType
 from repro.relational.relation import Relation, dictionary_stats
 from repro.relational.schema import Field, Schema
@@ -167,9 +166,8 @@ def test_raw_constructor_has_no_encoding_and_dictionary_still_works():
 
 
 def test_reuse_counter_moves_on_reuse():
-    relation_module.reset_dictionary_stats()
-    assert dictionary_stats() == {
-        "builds": 0, "reuse_hits": 0, "grouping_builds": 0, "grouping_reuse_hits": 0
+    assert set(dictionary_stats()) == {
+        "builds", "reuse_hits", "grouping_builds", "grouping_reuse_hits"
     }
     relation = rel(["a", "b", "a"])
     before = dictionary_stats()["reuse_hits"]

@@ -20,7 +20,6 @@ from repro.relational.predicates import (
     Not,
     Or,
     TruePredicate,
-    conjoin,
 )
 from repro.relational.relation import Relation
 
@@ -142,19 +141,6 @@ class TestBooleanConnectives:
 
     def test_true_predicate(self, rel):
         assert TruePredicate().evaluate(rel).all()
-
-    def test_conjoin_empty(self, rel):
-        assert isinstance(conjoin([]), TruePredicate)
-
-    def test_conjoin_drops_true(self, rel):
-        gt1 = Comparison(">", ColumnRef("x"), Literal(1))
-        combined = conjoin([TruePredicate(), gt1])
-        assert combined is gt1
-
-    def test_conjoin_multiple(self, rel):
-        gt1 = Comparison(">", ColumnRef("x"), Literal(1))
-        lt4 = Comparison("<", ColumnRef("x"), Literal(4))
-        assert conjoin([gt1, lt4]).evaluate(rel).tolist() == [False, True, True, False]
 
 
 class TestSqlRendering:

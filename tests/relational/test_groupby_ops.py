@@ -1,23 +1,13 @@
-"""Unit tests for group-by, relational operators, and CSV IO."""
+"""Unit tests for group-by and relational operators."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.relational.dtypes import DType
 from repro.relational.expressions import ColumnRef, Literal
 from repro.relational.groupby import group_rows
-from repro.relational.ops import (
-    distinct,
-    filter_rows,
-    limit,
-    project_expressions,
-    union_all,
-)
-from repro.relational.predicates import Comparison
-from repro.relational.csvio import read_csv, write_csv
+from repro.relational.ops import distinct, project_expressions, union_all
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 
 
 @pytest.fixture
@@ -68,14 +58,6 @@ class TestGroupRows:
 
 
 class TestOperators:
-    def test_filter_rows(self, rel):
-        out = filter_rows(rel, Comparison(">", ColumnRef("v"), Literal(25)))
-        assert out.column("v").tolist() == [30.0, 40.0, 50.0]
-
-    def test_filter_requires_boolean(self, rel):
-        with pytest.raises(SchemaError, match="boolean"):
-            filter_rows(rel, ColumnRef("v"))
-
     def test_project_expressions(self, rel):
         out = project_expressions(rel, [ColumnRef("v"), Literal(1)], ["val", "one"])
         assert out.column_names == ("val", "one")
@@ -96,43 +78,3 @@ class TestOperators:
     def test_distinct_all_columns(self):
         rel = Relation.from_dict({"a": [1, 1, 2], "b": [1, 1, 3]})
         assert distinct(rel).num_rows == 2
-
-    def test_limit(self, rel):
-        assert limit(rel, 2).num_rows == 2
-        with pytest.raises(SchemaError):
-            limit(rel, -1)
-
-
-class TestCsvIo:
-    def test_round_trip(self, rel, tmp_path):
-        path = tmp_path / "rel.csv"
-        write_csv(rel, path)
-        back = read_csv(path, schema=rel.schema)
-        assert back.equals(rel)
-
-    def test_inference_round_trip(self, rel, tmp_path):
-        path = tmp_path / "rel.csv"
-        write_csv(rel, path)
-        back = read_csv(path)
-        assert back.schema.dtype("g") is DType.TEXT
-        assert back.schema.dtype("h") is DType.INT
-        assert back.schema.dtype("v") is DType.FLOAT
-
-    def test_bool_inference(self, tmp_path):
-        path = tmp_path / "b.csv"
-        path.write_text("flag\ntrue\nfalse\n")
-        back = read_csv(path)
-        assert back.schema.dtype("flag") is DType.BOOL
-        assert back.column("flag").tolist() == [True, False]
-
-    def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(SchemaError, match="empty"):
-            read_csv(path)
-
-    def test_ragged_row_raises(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("a,b\n1,2\n3\n")
-        with pytest.raises(SchemaError, match="arity"):
-            read_csv(path)

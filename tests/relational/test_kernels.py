@@ -1,22 +1,34 @@
 """Vectorized grouped-aggregation kernels vs. the per-group reference.
 
 The kernel in :mod:`repro.relational.kernels` must agree exactly with
-applying :func:`repro.relational.aggregates.compute_aggregate` group by
-group, for every aggregate function, weighted and unweighted, across
-single-key, multi-key, and ungrouped shapes.
+applying the row-wise reference ``compute_aggregate`` (``oracles.py``
+beside this file) group by group, for every aggregate function, weighted
+and unweighted, across single-key, multi-key, and ungrouped shapes.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import SchemaError, TypeMismatchError
-from repro.relational.aggregates import AggregateSpec, compute_aggregate
+from repro.relational.aggregates import AggregateSpec
 from repro.relational.dtypes import DType
 from repro.relational.expressions import ColumnRef
 from repro.relational.groupby import distinct_indices, group_rows
 from repro.relational.kernels import grouped_aggregate
 from repro.relational.relation import Relation
 from repro.relational.schema import Field, Schema
+
+# Loaded by path: other test directories have an ``oracles`` module too,
+# and test directories without packages share one module namespace.
+_spec = importlib.util.spec_from_file_location(
+    "relational_oracles", Path(__file__).with_name("oracles.py")
+)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
+compute_aggregate = oracles.compute_aggregate
 
 
 def make_relation(rng, n):

@@ -1,13 +1,25 @@
 """Property-based tests (hypothesis) for the relational substrate invariants."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.aggregates import AggregateSpec, compute_aggregate
+from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import ColumnRef
 from repro.relational.groupby import group_rows
 from repro.relational.relation import Relation
+
+# Loaded by path: other test directories have an ``oracles`` module too,
+# and test directories without packages share one module namespace.
+_spec = importlib.util.spec_from_file_location(
+    "relational_oracles", Path(__file__).with_name("oracles.py")
+)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
+compute_aggregate = oracles.compute_aggregate
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 tags = st.sampled_from(["a", "b", "c", "d"])

@@ -9,12 +9,7 @@ from repro.relational.relation import Relation
 from repro.reweight.contingency import Binner, assign_cells
 from repro.reweight.cube import cube_ipf
 from repro.reweight.ipf import ipf_reweight
-from repro.reweight.weights import (
-    normalize_to_total,
-    summarize,
-    uniform_weights,
-    validate_weights,
-)
+from repro.reweight.weights import uniform_weights, validate_weights
 
 
 class TestCubeIpf:
@@ -92,31 +87,6 @@ class TestRakingMatchesCube:
 
 
 class TestWeightHelpers:
-    def test_summarize_uniform(self):
-        s = summarize(np.ones(10))
-        assert s.total == 10
-        assert s.effective_sample_size == pytest.approx(10)
-        assert s.degeneracy == pytest.approx(0.0)
-        assert s.zero_fraction == 0.0
-
-    def test_summarize_degenerate(self):
-        s = summarize(np.array([10.0, 0.0, 0.0, 0.0]))
-        assert s.effective_sample_size == pytest.approx(1.0)
-        assert s.degeneracy == pytest.approx(0.75)
-        assert s.zero_fraction == 0.75
-
-    def test_summarize_empty(self):
-        s = summarize(np.array([]))
-        assert s.total == 0.0
-
-    def test_normalize_to_total(self):
-        out = normalize_to_total(np.array([1.0, 3.0]), 8.0)
-        assert out.tolist() == [2.0, 6.0]
-
-    def test_normalize_zero_total_raises(self):
-        with pytest.raises(ReweightError):
-            normalize_to_total(np.zeros(3), 5.0)
-
     def test_uniform_weights(self):
         out = uniform_weights(4, 100.0)
         assert out.tolist() == [25.0] * 4
@@ -137,12 +107,11 @@ class TestCellAssignment:
         rel = Relation.from_dict({"c": ["UK", "FR", "UK", "XX"]})
         marginal = Marginal(["c"], {("UK",): 10, ("FR",): 5, ("DE",): 2})
         assignment = assign_cells(rel, marginal)
-        achieved = assignment.achieved_mass(np.ones(4))
-        by_key = dict(zip(assignment.cell_keys, achieved))
-        assert by_key[("UK",)] == 2
-        assert by_key[("FR",)] == 1
-        assert by_key[("XX",)] == 1  # sample-only cell, target mass 0
-        assert by_key[("DE",)] == 0
+        rows = [assignment.cell_keys[cell] for cell in assignment.row_cell]
+        assert rows == [("UK",), ("FR",), ("UK",), ("XX",)]
+        by_key = dict(zip(assignment.cell_keys, assignment.target_mass))
+        assert by_key[("XX",)] == 0  # sample-only cell, target mass 0
+        assert ("DE",) in by_key  # marginal-only cell: no rows
         assert assignment.unreachable_mass() == 2.0  # DE mass unreachable
 
 

@@ -8,35 +8,7 @@ from repro.catalog.sample import SampleRelation
 from repro.errors import ReweightError
 from repro.mechanisms import StratifiedMechanism, UniformMechanism
 from repro.relational.relation import Relation
-from repro.reweight.inverse_probability import (
-    declared_mechanism_weights,
-    mechanism_weights_from_population,
-)
-
-
-@pytest.fixture
-def population():
-    rng = np.random.default_rng(11)
-    return Relation.from_dict(
-        {
-            "stratum": rng.choice(["a", "b"], size=1000, p=[0.9, 0.1]).tolist(),
-            "v": rng.normal(size=1000),
-        }
-    )
-
-
-class TestFromPopulation:
-    def test_uniform(self, population):
-        mech = UniformMechanism(10)
-        idx = mech.draw(population, np.random.default_rng(0))
-        w = mechanism_weights_from_population(mech, population, idx)
-        assert np.allclose(w, 10.0)
-
-    def test_stratified_estimates_population_size(self, population):
-        mech = StratifiedMechanism("stratum", 20)
-        idx = mech.draw(population, np.random.default_rng(0))
-        w = mechanism_weights_from_population(mech, population, idx)
-        assert np.sum(w) == pytest.approx(population.num_rows)
+from repro.reweight.inverse_probability import declared_mechanism_weights
 
 
 class TestDeclaredUniform:

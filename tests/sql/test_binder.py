@@ -1,6 +1,8 @@
 """Unit tests for bind-time name resolution (barewords vs columns)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SqlCompileError
 from repro.relational.dtypes import DType
@@ -72,6 +74,29 @@ class TestBindTrees:
         once = bind_expression(where, schema)
         twice = bind_expression(once, schema)
         assert once.to_sql() == twice.to_sql()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        quoted=st.tuples(st.text(max_size=6), st.text(max_size=6)).map("'".join),
+        other=st.text(max_size=6),
+        shape=st.sampled_from(
+            ["email = {a}", "{a} < email", "email IN ({a}, {b})", "email NOT LIKE {a}"]
+        ),
+    )
+    @example(quoted="it's", other="x", shape="email IN ({a}, {b})")
+    def test_text_constants_render_back_to_the_same_sql(self, quoted, other, shape):
+        """A rendered filter parses back to itself: quotes are doubled."""
+        schema = Schema.of(email=DType.TEXT)
+
+        def quote(value):
+            return "'" + value.replace("'", "''") + "'"
+
+        def bound_sql(where):
+            parsed = parse_statement(f"SELECT * FROM P WHERE {where}").where
+            return bind_expression(parsed, schema).to_sql()
+
+        rendered = bound_sql(shape.format(a=quote(quoted), b=quote(other)))
+        assert bound_sql(rendered) == rendered
 
     def test_arithmetic_binding(self, schema):
         expr = parse_statement("SELECT age * 2 + 1 FROM P").items[0].expr

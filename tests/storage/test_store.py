@@ -1,10 +1,14 @@
 """The durable store through the engine: checkpoint, replay, commit/rollback."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from repro import MosaicDB
 from repro.errors import CatalogError, UnknownRelationError
+from repro.mechanisms import StratifiedMechanism
+from repro.relational.relation import Relation
 
 SETUP = """
 CREATE GLOBAL POPULATION People (country TEXT, age INT);
@@ -164,8 +168,9 @@ def test_commit_and_rollback(tmp_path):
 def test_rollback_without_checkpoint_empties_catalog(tmp_path):
     db = build(tmp_path)
     db.rollback()
-    assert db.catalog.sample_names == []
-    assert db.catalog.auxiliary_names == []
+    for name in ("People", "counts", "S"):
+        with pytest.raises(UnknownRelationError):
+            db.catalog.kind_of(name)
     db.close()
 
 
@@ -244,4 +249,55 @@ def test_persisted_generator_is_parameters_not_generation_buffers(tmp_path):
     result = db2.execute(query)
     assert result.has_note("generator cache hit")
     assert rows_of(result) == before
+    db2.close()
+
+
+@pytest.mark.parametrize("restart", ["wal_replay", "checkpoint"])
+def test_drawn_sample_survives_restart(tmp_path, restart):
+    """``draw_sample`` logs the drawn tuples, weights and mechanism, so WAL
+    replay of a crash copy and a checkpointed reopen both restore them."""
+    rng = np.random.default_rng(5)
+    population = Relation.from_dict(
+        {
+            "country": rng.choice(["UK", "FR", "DE"], size=1000, p=[0.6, 0.3, 0.1]).tolist(),
+            "age": rng.integers(18, 90, size=1000),
+        }
+    )
+    queries = [
+        "SELECT CLOSED country, COUNT(*) AS n, AVG(age) AS a FROM Drawn GROUP BY country",
+        "SELECT SEMI-OPEN country, COUNT(*) AS n, AVG(age) AS a FROM People GROUP BY country",
+    ]
+    data_dir = tmp_path / "data"
+    db = MosaicDB(seed=3, data_dir=str(data_dir))
+    db.execute_script(
+        """
+        CREATE GLOBAL POPULATION People (country TEXT, age INT);
+        CREATE TABLE counts (country TEXT, n INT);
+        INSERT INTO counts VALUES ('UK', 600), ('FR', 300), ('DE', 100);
+        CREATE METADATA People_M1 AS (SELECT country, n FROM counts)
+        """
+    )
+    drawn = db.draw_sample("Drawn", "People", population, StratifiedMechanism("country", 20))
+    before = [db.execute(sql) for sql in queries]
+    assert before[1].has_note("known mechanism STRATIFIED ON country PERCENT 20")
+    if restart == "wal_replay":
+        reopen_dir = tmp_path / "crash"
+        shutil.copytree(data_dir, reopen_dir)  # no checkpoint since the draw
+    else:
+        reopen_dir = data_dir
+    db.close()
+
+    db2 = MosaicDB(seed=3, data_dir=str(reopen_dir))
+    storage = db2.cache_stats()["storage"]
+    if restart == "wal_replay":
+        assert storage["wal_replayed"] >= 1 and storage["restored_samples"] == 0
+    else:
+        assert storage["wal_replayed"] == 0 and storage["restored_samples"] == 1
+    restored = db2.engine.catalog.sample("Drawn")
+    assert restored.relation.equals(drawn.relation)
+    assert restored.weights.tobytes() == drawn.weights.tobytes()
+    assert type(restored.mechanism) is StratifiedMechanism
+    assert restored.mechanism.describe() == drawn.mechanism.describe()
+    for sql, expected in zip(queries, before):
+        assert db2.execute(sql).rows() == expected.rows()
     db2.close()
