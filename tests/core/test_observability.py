@@ -242,6 +242,27 @@ class TestExplainAnalyze:
         assert node_rows["Scan"] == 3
         assert result.has_note("EXPLAIN ANALYZE")
 
+    @pytest.mark.parametrize(
+        "where, rendered",
+        [
+            ("name = 'it''s'", "(name = 'it''s')"),
+            ("name <> 'it''s'", "(name != 'it''s')"),
+            ("name IN ('it''s', 'a')", "(name IN ('it''s', 'a'))"),
+            ("name NOT IN ('''')", "(name NOT IN (''''))"),
+            ("name LIKE '%''%'", "(name LIKE '%''%')"),
+            ("name NOT LIKE '''%'", "(name NOT LIKE '''%')"),
+        ],
+        ids=["eq", "ne", "in", "not_in", "like", "not_like"],
+    )
+    def test_filter_nodes_render_text_constants_as_sql(self, where, rendered):
+        db = build_closed_db()
+        db.execute("INSERT INTO T VALUES ('it''s', 4), ('''', 5)")
+        sql = "SELECT CLOSED name, n FROM T WHERE {}"
+        steps = [row[0] for row in db.execute("EXPLAIN ANALYZE " + sql.format(where))]
+        assert f"node: Filter({rendered})" in steps
+        # The rendering is SQL that selects the same rows as the source text.
+        assert db.execute(sql.format(rendered)).rows() == db.execute(sql.format(where)).rows()
+
     def test_explain_bypasses_sampling(self, monkeypatch):
         monkeypatch.setenv("MOSAIC_TRACE_SAMPLE", "0")
         db = build_closed_db()

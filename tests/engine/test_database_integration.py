@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import MosaicDB, Visibility
-from repro.engine.open_world import IPFSynthesizer, OpenQueryConfig
+from repro.engine.open_world import BayesNetGenerator, IPFSynthesizer, OpenQueryConfig
 from repro.errors import (
     CatalogError,
     SqlCompileError,
@@ -155,6 +155,38 @@ class TestSampleIngestion:
         with pytest.raises(SqlSyntaxError, match="unexpected character '²'") as excinfo:
             db.execute(sql)
         assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("3.5", "non-integral value for INT column: 3.5"),
+            ("9223372036854775808", "outside the INT range"),
+            ("1e20", "outside the INT range"),
+            ("'x'", "cannot coerce values to INT"),
+        ],
+        ids=["fractional", "int64_max_plus_1", "float_beyond_range", "text"],
+    )
+    def test_insert_rejects_a_literal_an_int_cannot_hold(self, db, literal, message):
+        db.execute("CREATE TABLE Counts (n INT)")
+        with pytest.raises(TypeMismatchError, match=message):
+            db.execute(f"INSERT INTO Counts VALUES (1), ({literal})")
+        assert db.execute("SELECT * FROM Counts").num_rows == 0  # nothing half-inserted
+
+    @pytest.mark.parametrize(
+        "column_type, literal, stored",
+        [
+            ("INT", "3.0", 3),
+            ("INT", "-9223372036854775808", -(2**63)),
+            ("TEXT", "12", "12"),
+        ],
+        ids=["integral_float", "int64_min", "number_into_text"],
+    )
+    def test_insert_coerces_a_literal_to_the_column_type(
+        self, db, column_type, literal, stored
+    ):
+        db.execute(f"CREATE TABLE Values1 (v {column_type})")
+        db.execute(f"INSERT INTO Values1 VALUES ({literal})")
+        assert db.execute("SELECT * FROM Values1").column("v").tolist() == [stored]
 
     def test_other_script_decimal_digits_still_parse(self, db):
         db.execute("CREATE TABLE Counts (n INT)")
@@ -308,6 +340,31 @@ class TestOpenQueries:
         assert again.has_note("generator cache hit")
 
 
+    def test_set_open_generator_swaps_the_factory(self):
+        database = build_migrants_db(
+            open_config=OpenQueryConfig(generator_factory=IPFSynthesizer, repetitions=2)
+        )
+        sql = "SELECT OPEN country, COUNT(*) FROM EuropeMigrants GROUP BY country"
+        assert database.execute(sql).has_note("generated sample(s) from ipf-synth")
+        database.set_open_generator(BayesNetGenerator)
+        swapped = database.execute(sql)
+        assert swapped.has_note("generated sample(s) from bayesnet")
+        assert not swapped.has_note("generator cache hit")
+
+    def test_fitted_generators_are_cached_per_factory(self):
+        database = build_migrants_db(
+            open_config=OpenQueryConfig(generator_factory=IPFSynthesizer, repetitions=2)
+        )
+        sql = "SELECT OPEN country, COUNT(*) FROM EuropeMigrants GROUP BY country"
+        database.execute(sql)
+        database.set_open_generator(BayesNetGenerator)
+        database.execute(sql)
+        database.set_open_generator(IPFSynthesizer)
+        back = database.execute(sql)
+        # Swapping back finds the first fit still warm: no refit.
+        assert back.has_note("generator cache hit")
+        assert back.has_note("generated sample(s) from ipf-synth")
+
 class TestVisibilityTradeoffTable:
     """The Sec. 3.3 table: FN/FP behaviour per visibility level."""
 
@@ -320,6 +377,27 @@ class TestVisibilityTradeoffTable:
             )
             emails = {r["email"] for r in result.to_pylist()}
             assert emails == {"Yahoo"}  # nothing invented
+
+    @pytest.mark.parametrize(
+        "visibility, reweights, generates",
+        [("CLOSED", False, False), ("SEMI-OPEN", True, False), ("OPEN", True, True)],
+    )
+    def test_what_each_level_may_do(self, visibility, reweights, generates):
+        """CLOSED answers from raw tuples; SEMI-OPEN may reweight them;
+        only OPEN may generate tuples the sample lacks."""
+        database = build_migrants_db(
+            open_config=OpenQueryConfig(generator_factory=IPFSynthesizer, repetitions=2)
+        )
+        result = database.execute(
+            f"SELECT {visibility} country, COUNT(*) AS n "
+            "FROM EuropeMigrants GROUP BY country"
+        )
+        assert result.visibility == visibility
+        raw = {"UK": 800, "FR": 200}
+        counts = {row["country"]: row["n"] for row in result.to_pylist()}
+        assert (counts != raw) is reweights
+        assert result.has_note("with no reweighting") is not reweights
+        assert result.has_note("generated sample(s)") is generates
 
     def test_open_reduces_false_negatives(self):
         database = build_migrants_db(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.executor import execute_select
-from repro.errors import SqlCompileError
+from repro.errors import SqlCompileError, SqlSyntaxError
 from repro.relational.relation import Relation
 from repro.sql.parser import parse_statement
 
@@ -48,6 +48,23 @@ class TestProjection:
     def test_order_and_limit(self, rel):
         out = execute_select(q("SELECT * FROM F ORDER BY distance DESC LIMIT 2"), rel)
         assert out.column("distance").tolist() == [2000, 1000]
+
+    def test_where_then_limit_keeps_the_first_matches(self, rel):
+        out = execute_select(q("SELECT * FROM F WHERE distance > 600 LIMIT 2"), rel)
+        assert out.column("distance").tolist() == [1000, 2000]
+
+    def test_limit_zero_keeps_the_columns(self, rel):
+        out = execute_select(q("SELECT carrier, distance FROM F LIMIT 0"), rel)
+        assert out.num_rows == 0
+        assert out.column_names == ("carrier", "distance")
+
+    def test_limit_beyond_the_rows_returns_every_row(self, rel):
+        out = execute_select(q("SELECT * FROM F LIMIT 50"), rel)
+        assert out.equals(rel)
+
+    def test_negative_limit_is_a_syntax_error(self):
+        with pytest.raises(SqlSyntaxError, match="expected NUMBER"):
+            q("SELECT * FROM F LIMIT -1")
 
     def test_distinct(self, rel):
         out = execute_select(q("SELECT DISTINCT carrier FROM F"), rel)

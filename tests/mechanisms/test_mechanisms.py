@@ -133,6 +133,11 @@ class TestPredicateBiased:
         assert np.sum(weights[matching]) == pytest.approx(true_matching)
         assert np.sum(weights) == pytest.approx(population.num_rows)
 
+    def test_describe_renders_a_quoted_predicate_as_sql(self):
+        predicate = Comparison("=", ColumnRef("name"), Literal("O'Hare"))
+        mech = PredicateBiasedMechanism(predicate, percent=10, bias=0.9)
+        assert mech.describe() == "BIASED ON (name = 'O''Hare') PERCENT 10 BIAS 0.9"
+
     def test_bias_out_of_range(self, population):
         with pytest.raises(ReweightError):
             PredicateBiasedMechanism(self.predicate(), percent=10, bias=1.5)

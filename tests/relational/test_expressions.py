@@ -17,6 +17,7 @@ from repro.relational.predicates import (
     Between,
     Comparison,
     InList,
+    Like,
     Not,
     Or,
     TruePredicate,
@@ -144,6 +145,26 @@ class TestBooleanConnectives:
 
 
 class TestSqlRendering:
+    @pytest.mark.parametrize(
+        "value, quoted",
+        [
+            ("plain", "'plain'"),
+            ("it's", "'it''s'"),
+            ("'", "''''"),
+            ("''", "''''''"),
+            ("a'b'c", "'a''b''c'"),
+            ("", "''"),
+        ],
+        ids=["plain", "inner", "lone", "pair", "two_inner", "empty"],
+    )
+    def test_text_constants_double_their_quotes(self, value, quoted):
+        assert Literal(value).to_sql() == quoted
+        assert Comparison("=", ColumnRef("tag"), Literal(value)).to_sql() == (
+            f"(tag = {quoted})"
+        )
+        assert InList(ColumnRef("tag"), [value, "x"]).to_sql() == f"(tag IN ({quoted}, 'x'))"
+        assert Like(ColumnRef("tag"), value).to_sql() == f"(tag LIKE {quoted})"
+
     def test_nested(self):
         expr = And(
             Comparison(">", ColumnRef("x"), Literal(1)),

@@ -545,6 +545,33 @@ class TestClientPool:
             assert client.execute(CLOSED_SQL).num_rows == 2
             assert client._created == 1
 
+    def test_pooled_script_returns_one_result_per_statement(self, tiny_server):
+        server, _ = tiny_server
+        with Client("127.0.0.1", server.port, pool_size=1) as client:
+            results = client.execute_script(
+                """
+                CREATE TEMPORARY TABLE T (name TEXT, n INT);
+                INSERT INTO T VALUES ('it''s', 1), ('b', 2);
+                SELECT name, n FROM T ORDER BY n
+                """
+            )
+            assert len(results) == 3
+            assert results[2].rows() == [("it's", 1), ("b", 2)]
+            assert client.execute(CLOSED_SQL).num_rows == 2
+            client.execute("DROP TABLE T")
+            assert client._created == 1
+
+    def test_pooled_script_error_keeps_the_pool(self, tiny_server):
+        server, _ = tiny_server
+        with Client("127.0.0.1", server.port, pool_size=1) as client:
+            with pytest.raises(UnknownRelationError):
+                client.execute_script(
+                    "SELECT CLOSED COUNT(*) AS n FROM Ghost; " + CLOSED_SQL
+                )
+            results = client.execute_script(CLOSED_SQL + "; " + CLOSED_SQL)
+            assert [result.num_rows for result in results] == [2, 2]
+            assert client._created == 1
+
     def test_blocked_waiter_wakes_on_close(self, tiny_server):
         # A waiter blocked on a fully-borrowed pool must not hang forever
         # when the client is closed underneath it.

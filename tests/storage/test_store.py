@@ -7,7 +7,9 @@ import pytest
 
 from repro import MosaicDB
 from repro.errors import CatalogError, UnknownRelationError
-from repro.mechanisms import StratifiedMechanism
+from repro.mechanisms import PredicateBiasedMechanism, StratifiedMechanism
+from repro.relational.expressions import ColumnRef, Literal
+from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 
 SETUP = """
@@ -256,6 +258,32 @@ def test_persisted_generator_is_parameters_not_generation_buffers(tmp_path):
 def test_drawn_sample_survives_restart(tmp_path, restart):
     """``draw_sample`` logs the drawn tuples, weights and mechanism, so WAL
     replay of a crash copy and a checkpointed reopen both restore them."""
+    assert_drawn_sample_survives_restart(
+        tmp_path,
+        restart,
+        StratifiedMechanism("country", 20),
+        "known mechanism STRATIFIED ON country PERCENT 20",
+    )
+
+
+@pytest.mark.parametrize("restart", ["wal_replay", "checkpoint"])
+def test_drawn_biased_sample_survives_restart(tmp_path, restart):
+    """A mechanism with a predicate over TEXT survives too, and its quoted
+    constant still renders as SQL in the SEMI-OPEN fallback note."""
+    mechanism = PredicateBiasedMechanism(
+        Comparison("=", ColumnRef("country"), Literal("Côte d'Ivoire")),
+        percent=10,
+        bias=0.5,
+    )
+    assert_drawn_sample_survives_restart(
+        tmp_path,
+        restart,
+        mechanism,
+        "BIASED ON (country = 'Côte d''Ivoire') PERCENT 10 BIAS 0.5",
+    )
+
+
+def assert_drawn_sample_survives_restart(tmp_path, restart, mechanism, note):
     rng = np.random.default_rng(5)
     population = Relation.from_dict(
         {
@@ -277,9 +305,9 @@ def test_drawn_sample_survives_restart(tmp_path, restart):
         CREATE METADATA People_M1 AS (SELECT country, n FROM counts)
         """
     )
-    drawn = db.draw_sample("Drawn", "People", population, StratifiedMechanism("country", 20))
+    drawn = db.draw_sample("Drawn", "People", population, mechanism)
     before = [db.execute(sql) for sql in queries]
-    assert before[1].has_note("known mechanism STRATIFIED ON country PERCENT 20")
+    assert before[1].has_note(note)
     if restart == "wal_replay":
         reopen_dir = tmp_path / "crash"
         shutil.copytree(data_dir, reopen_dir)  # no checkpoint since the draw
@@ -296,8 +324,10 @@ def test_drawn_sample_survives_restart(tmp_path, restart):
     restored = db2.engine.catalog.sample("Drawn")
     assert restored.relation.equals(drawn.relation)
     assert restored.weights.tobytes() == drawn.weights.tobytes()
-    assert type(restored.mechanism) is StratifiedMechanism
+    assert type(restored.mechanism) is type(mechanism)
     assert restored.mechanism.describe() == drawn.mechanism.describe()
     for sql, expected in zip(queries, before):
-        assert db2.execute(sql).rows() == expected.rows()
+        after = db2.execute(sql)
+        assert after.rows() == expected.rows()
+    assert after.has_note(note)
     db2.close()
