@@ -8,7 +8,7 @@ materialised sample.  This subpackage provides both capabilities:
 
 - :mod:`repro.bayesnet.structure` — Chow-Liu tree structure learning
   (maximum spanning tree over pairwise mutual information, computed from
-  weighted sample counts), built on networkx.
+  weighted sample counts) by Kruskal's algorithm.
 - :mod:`repro.bayesnet.cpd` — conditional probability tables with Laplace
   smoothing.
 - :mod:`repro.bayesnet.model` — fit / exact-COUNT inference / ancestral

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import GenerativeModelError
@@ -75,19 +74,48 @@ def learn_chow_liu(
     if len(names) == 1:
         return TreeStructure(parents={names[0]: None}, order=(names[0],))
 
-    graph = nx.Graph()
-    graph.add_nodes_from(names)
+    edges = []
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             mi = mutual_information(
                 codes[a], codes[b], domain_sizes[a], domain_sizes[b], weights
             )
-            graph.add_edge(a, b, weight=mi)
+            edges.append((a, b, mi))
+    return maximum_spanning_tree(names, edges, root)
 
-    tree = nx.maximum_spanning_tree(graph)
+
+def maximum_spanning_tree(
+    names: list[str], edges: list[tuple[str, str, float]], root: str
+) -> TreeStructure:
+    """Kruskal's maximum spanning tree over ``edges``, oriented from ``root``.
+
+    Ties are broken as ``networkx.maximum_spanning_tree`` followed by
+    ``networkx.bfs_edges`` break them: a stable descending sort keeps tied
+    edges in the order given, each node's neighbours are visited in the
+    order their edges were accepted, and a breadth-first walk from
+    ``root`` gives every other node its parent.
+    """
+    leader = {name: name for name in names}
+
+    def find(node: str) -> str:
+        while leader[node] != node:
+            leader[node] = leader[leader[node]]
+            node = leader[node]
+        return node
+
+    adjacency: dict[str, list[str]] = {name: [] for name in names}
+    for a, b, _ in sorted(edges, key=lambda edge: edge[2], reverse=True):
+        leader_a, leader_b = find(a), find(b)
+        if leader_a != leader_b:
+            leader[leader_a] = leader_b
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+
     parents: dict[str, str | None] = {root: None}
     order: list[str] = [root]
-    for parent, child in nx.bfs_edges(tree, root):
-        parents[child] = parent
-        order.append(child)
+    for parent in order:  # grows while it is walked: a breadth-first queue
+        for child in adjacency[parent]:
+            if child not in parents:
+                parents[child] = parent
+                order.append(child)
     return TreeStructure(parents=parents, order=tuple(order))

@@ -87,6 +87,15 @@ async def run(args: argparse.Namespace) -> int:
             metrics_port=args.metrics_port,
         )
         await router.start()
+        # Handlers go in before the listening line: a SIGTERM sent as soon
+        # as it is read must still reach terminate_shards below, or the
+        # shards outlive the router.
+        loop = asyncio.get_running_loop()
+        for signal_number in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(NotImplementedError):  # non-unix loops
+                loop.add_signal_handler(
+                    signal_number, lambda: loop.create_task(router.stop())
+                )
         print(
             f"mosaic fleet router listening on {router.host}:{router.port} "
             f"({args.shards} shard(s))",
@@ -98,12 +107,6 @@ async def run(args: argparse.Namespace) -> int:
                 f"http://{router.host}:{router.metrics_exporter.port}/metrics",
                 file=sys.stderr,
             )
-        loop = asyncio.get_running_loop()
-        for signal_number in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):  # non-unix loops
-                loop.add_signal_handler(
-                    signal_number, lambda: loop.create_task(router.stop())
-                )
         await router.serve_forever()
     finally:
         terminate_shards(shards)

@@ -3,9 +3,16 @@
 Each shard is an ordinary ``python -m repro.server`` subprocess bound to
 an OS-assigned port (``--port 0``) and told its fleet identity via
 ``--shard-id``.  The parent learns the bound port by reading the
-server's ``mosaic server listening on host:port`` stderr line, then
-keeps a thread draining the rest of the shard's stderr to the parent's
-(so the pipe never fills and shard logs stay visible).
+server's ``mosaic server listening on host:port`` stderr line: one thread
+per shard reads its stderr, hands the port over when that line arrives
+and forwards every other line to the parent's stderr (so the pipe never
+fills and shard logs stay visible).
+
+:func:`launch_shards` spawns every shard before it waits for any, so the
+shards import and boot side by side, then collects the ports in shard-id
+order under one deadline.  A shard that exits or stays silent past the
+deadline fails the launch, and every shard spawned so far is killed and
+reaped.
 
 Used by ``python -m repro.fleet`` and by the fleet tests/benchmarks,
 which need to boot and kill real shard processes.
@@ -18,6 +25,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 from repro.errors import ServerError
@@ -26,13 +34,20 @@ _LISTENING_PREFIX = "mosaic server listening on "
 
 
 class ShardProcess:
-    """One engine-server subprocess plus its bound address."""
+    """One engine-server subprocess plus its bound address.
 
-    def __init__(self, shard_id: int, process: subprocess.Popen, host: str, port: int):
+    A thread reads the shard's stderr for as long as it runs: it takes
+    the port from the listening line and forwards every other line.
+    ``port`` is ``None`` until :func:`launch_shards` has it.
+    """
+
+    def __init__(self, shard_id: int, process: subprocess.Popen, host: str):
         self.shard_id = shard_id
         self.process = process
         self.host = host
-        self.port = port
+        self.port: int | None = None
+        self._reported = threading.Event()  # the port line, or end of stream
+        threading.Thread(target=self._read_stderr, daemon=True).start()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -46,6 +61,31 @@ class ShardProcess:
         if self.alive():
             self.process.kill()
             self.process.wait(timeout=30)
+
+    def _read_stderr(self) -> None:
+        try:
+            for line in self.process.stderr:
+                if not self._reported.is_set() and line.startswith(_LISTENING_PREFIX):
+                    address = line[len(_LISTENING_PREFIX) :].strip()
+                    self.port = int(address.rpartition(":")[2])
+                    self._reported.set()
+                else:
+                    sys.stderr.write(f"[shard {self.shard_id}] {line}")
+        except ValueError:  # pragma: no cover - stream closed during shutdown
+            pass
+        finally:
+            self._reported.set()
+
+    def _await_port(self, deadline: float, timeout: float) -> None:
+        if not self._reported.wait(max(0.0, deadline - time.monotonic())):
+            raise ServerError(
+                f"shard {self.shard_id} did not report its port within {timeout:g} s"
+            )
+        if self.port is None:
+            raise ServerError(
+                f"shard {self.shard_id} exited before reporting its port "
+                f"(exit status {self.process.poll()})"
+            )
 
 
 def _shard_environment() -> dict[str, str]:
@@ -62,20 +102,9 @@ def _shard_environment() -> dict[str, str]:
     return env
 
 
-def launch_shard(
-    shard_id: int,
-    *,
-    host: str = "127.0.0.1",
-    seed: int = 0,
-    init_sql: str | None = None,
-    data_dir: str | None = None,
-    startup_timeout: float = 60.0,
-) -> ShardProcess:
-    """Start one shard subprocess and wait for it to report its port.
-
-    With ``data_dir``, the shard persists under ``<data_dir>/shard-<id>``
-    — each shard owns its slice of the data, so each gets its own store.
-    """
+def _shard_command(
+    shard_id: int, host: str, seed: int, init_sql: str | None, data_dir: str | None
+) -> list[str]:
     command = [
         sys.executable,
         "-m",
@@ -93,38 +122,33 @@ def launch_shard(
         command += ["--init-sql", init_sql]
     if data_dir is not None:
         command += ["--data-dir", os.path.join(data_dir, f"shard-{shard_id}")]
-    process = subprocess.Popen(
-        command,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=_shard_environment(),
-    )
-    assert process.stderr is not None
-    port: int | None = None
-    try:
-        # The listening line is the first line the server prints after
-        # binding (init-sql notes may precede it).
-        while True:
-            line = process.stderr.readline()
-            if not line:
-                raise ServerError(
-                    f"shard {shard_id} exited before reporting its port "
-                    f"(exit status {process.poll()})"
-                )
-            if line.startswith(_LISTENING_PREFIX):
-                _, _, port_text = line[len(_LISTENING_PREFIX) :].strip().rpartition(":")
-                port = int(port_text)
-                break
-            sys.stderr.write(f"[shard {shard_id}] {line}")
-    except BaseException:
-        process.kill()
-        process.wait(timeout=30)
-        raise
-    forwarder = threading.Thread(
-        target=_forward_stderr, args=(shard_id, process.stderr), daemon=True
-    )
-    forwarder.start()
-    return ShardProcess(shard_id, process, host, port)
+    return command
+
+
+def launch_shard(
+    shard_id: int,
+    *,
+    host: str = "127.0.0.1",
+    seed: int = 0,
+    init_sql: str | None = None,
+    data_dir: str | None = None,
+    startup_timeout: float = 60.0,
+) -> ShardProcess:
+    """Start one shard subprocess and wait for it to report its port.
+
+    With ``data_dir``, the shard persists under ``<data_dir>/shard-<id>``
+    — each shard owns its slice of the data, so each gets its own store.
+    Raises :class:`ServerError` if the shard exits first or has not
+    reported within ``startup_timeout`` seconds; the shard is then killed.
+    """
+    return _launch(
+        [shard_id],
+        host=host,
+        seed=seed,
+        init_sql=init_sql,
+        data_dir=data_dir,
+        startup_timeout=startup_timeout,
+    )[0]
 
 
 def launch_shards(
@@ -134,25 +158,48 @@ def launch_shards(
     seed: int = 0,
     init_sql: str | None = None,
     data_dir: str | None = None,
+    startup_timeout: float = 60.0,
 ) -> list[ShardProcess]:
-    """Boot ``count`` shards, tearing down any survivors if one fails.
+    """Boot ``count`` shards side by side, tearing all down if one fails.
 
     Every shard gets the *same* engine seed: replicated relations and
     pinned session indices then make each shard a bit-exact copy of the
-    single-engine reference.
+    single-engine reference.  The shards are returned in shard-id order;
+    ``startup_timeout`` bounds the whole launch, not each shard.
     """
+    return _launch(
+        range(count),
+        host=host,
+        seed=seed,
+        init_sql=init_sql,
+        data_dir=data_dir,
+        startup_timeout=startup_timeout,
+    )
+
+
+def _launch(
+    shard_ids,
+    *,
+    host: str,
+    seed: int,
+    init_sql: str | None,
+    data_dir: str | None,
+    startup_timeout: float,
+) -> list[ShardProcess]:
+    deadline = time.monotonic() + startup_timeout
+    environment = _shard_environment()
     shards: list[ShardProcess] = []
     try:
-        for shard_id in range(count):
-            shards.append(
-                launch_shard(
-                    shard_id,
-                    host=host,
-                    seed=seed,
-                    init_sql=init_sql,
-                    data_dir=data_dir,
-                )
+        for shard_id in shard_ids:
+            process = subprocess.Popen(
+                _shard_command(shard_id, host, seed, init_sql, data_dir),
+                stderr=subprocess.PIPE,
+                text=True,
+                env=environment,
             )
+            shards.append(ShardProcess(shard_id, process, host))
+        for shard in shards:
+            shard._await_port(deadline, startup_timeout)
     except BaseException:
         for shard in shards:
             shard.kill()
@@ -171,11 +218,3 @@ def terminate_shards(shards: list[ShardProcess], timeout: float = 30.0) -> None:
         except subprocess.TimeoutExpired:  # pragma: no cover - hung shard
             shard.process.kill()
             shard.process.wait(timeout=timeout)
-
-
-def _forward_stderr(shard_id: int, stream) -> None:
-    try:
-        for line in stream:
-            sys.stderr.write(f"[shard {shard_id}] {line}")
-    except ValueError:  # pragma: no cover - stream closed during shutdown
-        pass

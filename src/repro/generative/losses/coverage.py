@@ -43,7 +43,6 @@ caveat.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import GenerativeModelError
 
@@ -80,6 +79,11 @@ class CoveragePenalty:
         width = sample_points.shape[1]
         self.unique_sample_rows = unique.shape[0]
         if unique.shape[0] > 2**width:
+            # scipy is imported here, on the one branch that uses it, so a
+            # process that never indexes a low-dimensional sample never
+            # loads it.
+            from scipy.spatial import cKDTree
+
             self.nearest = "kdtree"
             self._tree = cKDTree(sample_points)
         else:

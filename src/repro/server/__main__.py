@@ -113,19 +113,20 @@ async def run(args: argparse.Namespace) -> int:
         metrics_port=args.metrics_port,
     )
     await server.start()
-    print(f"mosaic server listening on {server.host}:{server.port}", file=sys.stderr)
-    if server.metrics_exporter is not None:
-        print(
-            f"mosaic metrics on http://{server.host}:{server.metrics_exporter.port}/metrics",
-            file=sys.stderr,
-        )
-
+    # Handlers go in before the listening line: whoever reads that line
+    # may send SIGTERM at once, and it must stop the server gracefully.
     loop = asyncio.get_running_loop()
     for signal_number in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(NotImplementedError):  # non-unix event loops
             loop.add_signal_handler(
                 signal_number, lambda: loop.create_task(server.stop())
             )
+    print(f"mosaic server listening on {server.host}:{server.port}", file=sys.stderr)
+    if server.metrics_exporter is not None:
+        print(
+            f"mosaic metrics on http://{server.host}:{server.metrics_exporter.port}/metrics",
+            file=sys.stderr,
+        )
     await server.serve_forever()
     print("mosaic server stopped", file=sys.stderr)
     return 0

@@ -4,6 +4,7 @@ Covers the paper's Sec. 2 motivating example end to end: DDL, ingestion,
 metadata, and CLOSED / SEMI-OPEN / OPEN queries over the migrants scenario.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -202,6 +203,19 @@ class TestSampleIngestion:
         db.ingest_rows("YahooMigrants", [("UK", "Yahoo"), ("FR", "Yahoo")])
         db.execute("UPDATE SAMPLE YahooMigrants SET WEIGHT = weight * 3")
         assert db.catalog.sample("YahooMigrants").weights.tolist() == [3.0, 3.0]
+
+    def test_division_by_zero_is_silent(self, db):
+        db.ingest_rows("YahooMigrants", [("UK", "Yahoo"), ("FR", "Yahoo")])
+        db.execute("CREATE TABLE Ratios (x INT)")
+        db.execute("INSERT INTO Ratios VALUES (1), (-2), (0)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CatalogError, match="finite"):
+                db.execute("UPDATE SAMPLE YahooMigrants SET WEIGHT = 1/0")
+            quotients = db.execute("SELECT x / 0 AS q FROM Ratios").column("q")
+        assert db.catalog.sample("YahooMigrants").weights.tolist() == [1.0, 1.0]
+        assert quotients[:2].tolist() == [math.inf, -math.inf]
+        assert math.isnan(quotients[2])
 
 
 class TestClosedQueries:

@@ -268,7 +268,7 @@ class TestCoverageLoss:
         def forbidden(*args, **kwargs):
             raise AssertionError("lam == 0 must not index the sample")
 
-        monkeypatch.setattr(coverage, "cKDTree", forbidden)
+        monkeypatch.setattr("scipy.spatial.cKDTree", forbidden)
         for sample in (rng.normal(size=(500, 2)), flights_shaped(rng, 500)):
             penalty = CoveragePenalty(sample, lam=0.0)
             assert (penalty.nearest, penalty.unique_sample_rows) == ("none", None)
