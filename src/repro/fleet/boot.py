@@ -63,16 +63,17 @@ class ShardProcess:
             self.process.wait(timeout=30)
 
     def _read_stderr(self) -> None:
+        # The pipe ends when the shard exits; this thread owns it, so it
+        # closes it then.
         try:
-            for line in self.process.stderr:
-                if not self._reported.is_set() and line.startswith(_LISTENING_PREFIX):
-                    address = line[len(_LISTENING_PREFIX) :].strip()
-                    self.port = int(address.rpartition(":")[2])
-                    self._reported.set()
-                else:
-                    sys.stderr.write(f"[shard {self.shard_id}] {line}")
-        except ValueError:  # pragma: no cover - stream closed during shutdown
-            pass
+            with self.process.stderr as stream:
+                for line in stream:
+                    if not self._reported.is_set() and line.startswith(_LISTENING_PREFIX):
+                        address = line[len(_LISTENING_PREFIX) :].strip()
+                        self.port = int(address.rpartition(":")[2])
+                        self._reported.set()
+                    else:
+                        sys.stderr.write(f"[shard {self.shard_id}] {line}")
         finally:
             self._reported.set()
 
@@ -141,14 +142,7 @@ def launch_shard(
     Raises :class:`ServerError` if the shard exits first or has not
     reported within ``startup_timeout`` seconds; the shard is then killed.
     """
-    return _launch(
-        [shard_id],
-        host=host,
-        seed=seed,
-        init_sql=init_sql,
-        data_dir=data_dir,
-        startup_timeout=startup_timeout,
-    )[0]
+    return _launch([shard_id], host, seed, init_sql, data_dir, startup_timeout)[0]
 
 
 def launch_shards(
@@ -167,19 +161,11 @@ def launch_shards(
     single-engine reference.  The shards are returned in shard-id order;
     ``startup_timeout`` bounds the whole launch, not each shard.
     """
-    return _launch(
-        range(count),
-        host=host,
-        seed=seed,
-        init_sql=init_sql,
-        data_dir=data_dir,
-        startup_timeout=startup_timeout,
-    )
+    return _launch(range(count), host, seed, init_sql, data_dir, startup_timeout)
 
 
 def _launch(
     shard_ids,
-    *,
     host: str,
     seed: int,
     init_sql: str | None,

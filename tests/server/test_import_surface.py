@@ -19,7 +19,7 @@ import pytest
 import repro
 
 SOURCE_ROOT = str(Path(repro.__file__).resolve().parents[1])
-HEAVY = ("repro.core.engine", "scipy", "networkx")
+HEAVY = {"repro.core.engine", "scipy", "networkx"}
 
 
 def modules_after(statement: str) -> set[str]:
@@ -42,7 +42,7 @@ def modules_after(statement: str) -> set[str]:
 def test_client_and_router_do_not_load_the_engine(module):
     loaded = modules_after(f"import {module}")
     assert module in loaded
-    assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
+    assert not loaded & HEAVY, sorted(loaded & HEAVY)
 
 
 def test_server_entrypoint_loads_neither_scipy_nor_networkx():
