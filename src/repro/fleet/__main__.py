@@ -64,6 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signal_number, frame) -> None:
+    raise SystemExit(128 + signal_number)
+
+
 async def run(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("--shards must be at least 1", file=sys.stderr)
@@ -72,6 +76,10 @@ async def run(args: argparse.Namespace) -> int:
     for spec_text in args.partition:
         table, spec = parse_partition_option(spec_text)
         partitions[table] = spec
+    # Until the router's loop takes SIGINT/SIGTERM over (below), a signal
+    # ends the launch by exception, so the shards are killed, not orphaned.
+    for signal_number in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signal_number, _exit_on_signal)
     shards = launch_shards(
         args.shards,
         seed=args.seed,

@@ -20,6 +20,7 @@ which need to boot and kill real shard processes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -31,6 +32,7 @@ from pathlib import Path
 from repro.errors import ServerError
 
 _LISTENING_PREFIX = "mosaic server listening on "
+_STARTUP_TIMEOUT = 60.0  # seconds for a whole launch, not per shard
 
 
 class ShardProcess:
@@ -73,14 +75,19 @@ class ShardProcess:
                         self.port = int(address.rpartition(":")[2])
                         self._reported.set()
                     else:
-                        sys.stderr.write(f"[shard {self.shard_id}] {line}")
+                        # Keep draining even once the parent's stderr is
+                        # closed or gone: a shard that cannot write its log
+                        # lines would stall or die of EPIPE.
+                        with contextlib.suppress(ValueError, OSError):
+                            sys.stderr.write(f"[shard {self.shard_id}] {line}")
         finally:
             self._reported.set()
 
-    def _await_port(self, deadline: float, timeout: float) -> None:
+    def _await_port(self, deadline: float) -> None:
         if not self._reported.wait(max(0.0, deadline - time.monotonic())):
             raise ServerError(
-                f"shard {self.shard_id} did not report its port within {timeout:g} s"
+                f"shard {self.shard_id} did not report its port "
+                f"within {_STARTUP_TIMEOUT:g} s"
             )
         if self.port is None:
             raise ServerError(
@@ -126,23 +133,29 @@ def _shard_command(
     return command
 
 
-def launch_shard(
-    shard_id: int,
-    *,
-    host: str = "127.0.0.1",
-    seed: int = 0,
-    init_sql: str | None = None,
-    data_dir: str | None = None,
-    startup_timeout: float = 60.0,
-) -> ShardProcess:
-    """Start one shard subprocess and wait for it to report its port.
+@contextlib.contextmanager
+def _signals_held():
+    """Hold SIGINT/SIGTERM back until the block is done, then raise them.
 
-    With ``data_dir``, the shard persists under ``<data_dir>/shard-<id>``
-    — each shard owns its slice of the data, so each gets its own store.
-    Raises :class:`ServerError` if the shard exits first or has not
-    reported within ``startup_timeout`` seconds; the shard is then killed.
+    A handler that raises while ``Popen`` waits for the child's exec
+    leaves a running shard that no list holds; held here, the signal
+    acts once the shard is in the list a failed launch kills.
     """
-    return _launch([shard_id], host, seed, init_sql, data_dir, startup_timeout)[0]
+    if threading.current_thread() is not threading.main_thread():
+        yield  # Python runs signal handlers on the main thread only
+        return
+    pending: list[int] = []
+    previous = {
+        number: signal.signal(number, lambda number, frame: pending.append(number))
+        for number in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        yield
+    finally:
+        for number, handler in previous.items():
+            signal.signal(number, handler)
+        for number in pending:
+            signal.raise_signal(number)
 
 
 def launch_shards(
@@ -152,40 +165,33 @@ def launch_shards(
     seed: int = 0,
     init_sql: str | None = None,
     data_dir: str | None = None,
-    startup_timeout: float = 60.0,
 ) -> list[ShardProcess]:
     """Boot ``count`` shards side by side, tearing all down if one fails.
 
     Every shard gets the *same* engine seed: replicated relations and
     pinned session indices then make each shard a bit-exact copy of the
-    single-engine reference.  The shards are returned in shard-id order;
-    ``startup_timeout`` bounds the whole launch, not each shard.
+    single-engine reference.  With ``data_dir``, shard k persists under
+    ``<data_dir>/shard-<k>`` — each shard owns its slice of the data, so
+    each gets its own store.  The shards are returned in shard-id order.
+    Raises :class:`ServerError` if a shard exits first or the launch has
+    not heard from every shard within ``_STARTUP_TIMEOUT`` seconds; every
+    spawned shard is then killed and reaped.
     """
-    return _launch(range(count), host, seed, init_sql, data_dir, startup_timeout)
-
-
-def _launch(
-    shard_ids,
-    host: str,
-    seed: int,
-    init_sql: str | None,
-    data_dir: str | None,
-    startup_timeout: float,
-) -> list[ShardProcess]:
-    deadline = time.monotonic() + startup_timeout
+    deadline = time.monotonic() + _STARTUP_TIMEOUT
     environment = _shard_environment()
     shards: list[ShardProcess] = []
     try:
-        for shard_id in shard_ids:
-            process = subprocess.Popen(
-                _shard_command(shard_id, host, seed, init_sql, data_dir),
-                stderr=subprocess.PIPE,
-                text=True,
-                env=environment,
-            )
-            shards.append(ShardProcess(shard_id, process, host))
+        for shard_id in range(count):
+            with _signals_held():
+                process = subprocess.Popen(
+                    _shard_command(shard_id, host, seed, init_sql, data_dir),
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=environment,
+                )
+                shards.append(ShardProcess(shard_id, process, host))
         for shard in shards:
-            shard._await_port(deadline, startup_timeout)
+            shard._await_port(deadline)
     except BaseException:
         for shard in shards:
             shard.kill()

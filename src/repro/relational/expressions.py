@@ -129,13 +129,14 @@ class Arithmetic(Expr):
         right = self.right.evaluate(relation)
         if not (np.issubdtype(left.dtype, np.number) and np.issubdtype(right.dtype, np.number)):
             raise TypeMismatchError(f"arithmetic on non-numeric operands in {self.to_sql()}")
-        # x / 0 is inf (or nan) by IEEE rules, not a warning; whoever needs
-        # finite values checks for them (sample weights raise CatalogError).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = _ARITH_OPS[self.op](left, right)
         if self.op == "/":
-            return result.astype(np.float64)
-        return result
+            # x / 0 is inf (or nan) by IEEE rules, not a warning; whoever
+            # needs finite values checks for them (sample weights raise
+            # CatalogError).  Other ops keep numpy's warnings: integer
+            # x % 0 reads 0, a made-up value the warning flags.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.divide(left, right).astype(np.float64)
+        return _ARITH_OPS[self.op](left, right)
 
     def output_dtype(self, schema: Schema) -> DType:
         if self.op == "/":

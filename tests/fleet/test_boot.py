@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import ServerError
 from repro.fleet import boot
-from repro.fleet.boot import launch_shard, launch_shards, terminate_shards
+from repro.fleet.boot import launch_shards, terminate_shards
 
 SILENT = [sys.executable, "-c", "import time; time.sleep(600)"]
 
@@ -81,48 +81,23 @@ def test_every_shard_failing_names_the_first(spawned, tmp_path):
 def test_silent_shard_fails_the_launch_at_the_deadline(spawned, monkeypatch):
     # Shard 0 never reports; shard 1 boots and must be killed with it.
     patch_command(monkeypatch, 0, lambda argv: SILENT)
+    monkeypatch.setattr(boot, "_STARTUP_TIMEOUT", 2.0)
     started = time.monotonic()
     with pytest.raises(ServerError, match="shard 0 did not report its port within 2 s"):
-        launch_shards(2, startup_timeout=2.0)
+        launch_shards(2)
     assert 2.0 <= time.monotonic() - started < 12.0
     assert len(spawned) == 2
     assert all(process.returncode is not None for process in spawned)
 
 
-def test_launch_shard_honours_its_startup_timeout(spawned, monkeypatch):
-    patch_command(monkeypatch, 0, lambda argv: SILENT)
-    started = time.monotonic()
-    with pytest.raises(ServerError, match="shard 0 did not report its port within 0.5 s"):
-        launch_shard(0, startup_timeout=0.5)
-    assert time.monotonic() - started < 10.0
-    assert [process.returncode is not None for process in spawned] == [True]
+def shard_children(router_pid):
+    children = Path(f"/proc/{router_pid}/task/{router_pid}/children")
+    if not children.exists():
+        pytest.skip("needs /proc/<pid>/task/<tid>/children")
+    return [int(pid) for pid in children.read_text().split()]
 
 
-def test_sigterm_right_after_the_ready_line_reaps_the_shards(tmp_path):
-    """The router's signal handlers are in place before it says it listens."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.fleet", "--shards", "2", "--port", "0"],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=boot._shard_environment(),
-    )
-    try:
-        for line in process.stderr:
-            if line.startswith("mosaic fleet router listening on "):
-                break
-        children = Path(f"/proc/{process.pid}/task/{process.pid}/children")
-        if not children.exists():
-            pytest.skip("needs /proc/<pid>/task/<tid>/children")
-        shard_pids = [int(pid) for pid in children.read_text().split()]
-        assert len(shard_pids) == 2
-        process.send_signal(signal.SIGTERM)
-        assert process.wait(timeout=60) == 0
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait()
-        process.stderr.close()
+def kill_survivors(shard_pids):
     survivors = []
     for pid in shard_pids:
         try:
@@ -132,4 +107,55 @@ def test_sigterm_right_after_the_ready_line_reaps_the_shards(tmp_path):
         if b"repro.server" in command:  # an orphaned shard, not a reused pid
             os.kill(pid, signal.SIGKILL)
             survivors.append(pid)
-    assert survivors == []
+    return survivors
+
+
+def start_fleet():
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.fleet", "--shards", "2", "--port", "0"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=boot._shard_environment(),
+    )
+
+
+def test_sigterm_right_after_the_ready_line_reaps_the_shards():
+    """The router's signal handlers are in place before it says it listens."""
+    process = start_fleet()
+    shard_pids = []
+    try:
+        for line in process.stderr:
+            if line.startswith("mosaic fleet router listening on "):
+                break
+        shard_pids = shard_children(process.pid)
+        assert len(shard_pids) == 2
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stderr.close()
+    assert kill_survivors(shard_pids) == []
+
+
+def test_sigterm_during_the_launch_kills_the_shards():
+    """A signal while the shards still boot ends the launch, shards and all."""
+    process = start_fleet()
+    shard_pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(shard_pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+            shard_pids = shard_children(process.pid)
+        assert len(shard_pids) == 2  # spawned; none can be up this soon
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 128 + signal.SIGTERM
+        assert "router listening" not in process.stderr.read()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stderr.close()
+    assert kill_survivors(shard_pids) == []
